@@ -91,7 +91,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nodb: argument %q is not name=path\n", arg)
 			os.Exit(2)
 		}
-		if err := db.Link(name, path); err != nil {
+		if err := db.Attach(name, nodb.TableSpec{Path: path}); err != nil {
 			fmt.Fprintf(os.Stderr, "nodb: %v\n", err)
 			os.Exit(1)
 		}
@@ -140,7 +140,7 @@ func command(db *nodb.DB, line string) bool {
 			fmt.Println("usage: \\link <name> <path>")
 			return false
 		}
-		if err := db.Link(fields[1], fields[2]); err != nil {
+		if err := db.Attach(fields[1], nodb.TableSpec{Path: fields[2]}); err != nil {
 			fmt.Printf("error: %v\n", err)
 			return false
 		}
@@ -151,7 +151,7 @@ func command(db *nodb.DB, line string) bool {
 			fmt.Println("usage: \\unlink <name>")
 			return false
 		}
-		if err := db.Unlink(fields[1]); err != nil {
+		if err := db.Detach(fields[1]); err != nil {
 			fmt.Printf("error: %v\n", err)
 		}
 	case "\\tables":

@@ -52,11 +52,11 @@
 // Example:
 //
 //	nodbd -addr :8080 -policy partial-v2 events=events.csv
-//	curl -s localhost:8080/query -d '{"query": "select count(*) from events"}'
+//	curl -s localhost:8080/v1/query -d '{"query": "select count(*) from events"}'
 //
 //	# Stream a large result as NDJSON: rows arrive while the scan runs,
 //	# and hanging up stops the scan mid-file.
-//	curl -sN localhost:8080/query/stream -d '{"query": "select a1, a2 from events where a1 > 10"}'
+//	curl -sN localhost:8080/v1/query/stream -d '{"query": "select a1, a2 from events where a1 > 10"}'
 //
 // The server enforces admission control (-max-inflight; excess requests
 // get 429), applies a per-query timeout (-timeout, overridable per request
@@ -233,12 +233,6 @@ func main() {
 	// start routing queries here.
 	srv.MarkReady()
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	if *pprofAddr != "" {
 		// pprof gets its own mux and listener: nothing from the profiling
 		// surface leaks onto the query port, and the address can stay
@@ -260,30 +254,7 @@ func main() {
 		fmt.Printf("pprof listening on %s\n", *pprofAddr)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("nodbd listening on %s (policy=%s, max-inflight=%d)\n", *addr, pol, *maxInFlight)
-
-	select {
-	case <-ctx.Done():
-		// Graceful shutdown: stop accepting, let in-flight queries drain
-		// within the grace period, then cancel whatever is left — the
-		// context plumbing stops their scans between chunks.
-		fmt.Fprintln(os.Stderr, "nodbd: shutting down")
-		shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			httpSrv.Close()
-		}
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "nodbd: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	serve(*addr, srv, *grace, fmt.Sprintf("nodbd listening on %s (policy=%s, max-inflight=%d)", *addr, pol, *maxInFlight))
 }
 
 type coordinatorOpts struct {
@@ -339,24 +310,27 @@ func runCoordinator(opts coordinatorOpts) {
 	}
 	defer coord.Close()
 
-	httpSrv := &http.Server{
-		Addr:              opts.addr,
-		Handler:           coord,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	serve(opts.addr, coord, opts.grace, fmt.Sprintf("nodbd coordinator listening on %s (shards=%d, partial-results=%v)",
+		opts.addr, len(addrs), opts.partialResults))
+}
 
+// serve runs h on addr until SIGINT/SIGTERM, then shuts down gracefully:
+// stop accepting, let in-flight queries drain within the grace period,
+// then cancel whatever is left — the context plumbing stops their scans
+// between chunks.
+func serve(addr string, h http.Handler, grace time.Duration, banner string) {
+	httpSrv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("nodbd coordinator listening on %s (shards=%d, partial-results=%v)\n",
-		opts.addr, len(addrs), opts.partialResults)
+	fmt.Println(banner)
 
 	select {
 	case <-ctx.Done():
 		fmt.Fprintln(os.Stderr, "nodbd: shutting down")
-		shutCtx, cancel := context.WithTimeout(context.Background(), opts.grace)
+		shutCtx, cancel := context.WithTimeout(context.Background(), grace)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
 			httpSrv.Close()

@@ -26,7 +26,7 @@ func TestPublicCursorLimitAndClose(t *testing.T) {
 
 	db := Open(Options{Policy: PartialLoadsV1, ChunkSize: 4096})
 	defer db.Close()
-	if err := db.Link("big", path); err != nil {
+	if err := db.Attach("big", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +80,7 @@ func TestPublicCloseSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := Open(Options{})
-	if err := db.Link("T", path); err != nil {
+	if err := db.Attach("T", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Query("select sum(a1) from T"); err != nil {

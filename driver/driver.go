@@ -107,7 +107,7 @@ func (d *Driver) OpenConnector(dsn string) (sqldriver.Connector, error) {
 		return nil, fmt.Errorf("nodb driver: %w", err)
 	}
 	for _, l := range cfg.Links {
-		if err := db.Link(l.Name, l.Path); err != nil {
+		if err := db.Attach(l.Name, nodb.TableSpec{Path: l.Path}); err != nil {
 			_ = db.Close()
 			return nil, err
 		}

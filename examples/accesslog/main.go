@@ -31,7 +31,7 @@ func main() {
 	// even delimited, let alone parsed.
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2})
 	defer db.Close()
-	if err := db.Link("access", logPath); err != nil {
+	if err := db.Attach("access", nodb.TableSpec{Path: logPath}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -89,10 +89,10 @@ func runFormatDiff(t *testing.T, csvOpts, jsonOpts Options, csvPath, jsonPath st
 	csvDB, jsonDB := Open(csvOpts), Open(jsonOpts)
 	defer csvDB.Close()
 	defer jsonDB.Close()
-	if err := csvDB.Link("t", csvPath); err != nil {
+	if err := csvDB.Attach("t", TableSpec{Path: csvPath}); err != nil {
 		t.Fatal(err)
 	}
-	if err := jsonDB.Link("t", jsonPath); err != nil {
+	if err := jsonDB.Attach("t", TableSpec{Path: jsonPath}); err != nil {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {

@@ -2,22 +2,19 @@ package cluster
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nodb/internal/exec"
+	"nodb/internal/httpapi"
 	"nodb/internal/metrics"
 	"nodb/internal/qos"
-	"nodb/internal/schema"
 	"nodb/internal/storage"
 	"nodb/internal/synopsis"
 )
@@ -71,20 +68,6 @@ type CoordinatorConfig struct {
 	Tenants *qos.Registry
 }
 
-func (c CoordinatorConfig) maxInFlight() int {
-	if c.MaxInFlight <= 0 {
-		return 64
-	}
-	return c.MaxInFlight
-}
-
-func (c CoordinatorConfig) maxBodyBytes() int64 {
-	if c.MaxBodyBytes <= 0 {
-		return 1 << 20
-	}
-	return c.MaxBodyBytes
-}
-
 func (c CoordinatorConfig) retries() int {
 	if c.Retries < 0 {
 		return 0
@@ -125,28 +108,15 @@ type synEntry struct {
 	at   time.Time
 }
 
-// coordTenant is one tenant's slice of the coordinator's admission
-// controller, mirroring the single-node server's tenantState.
-type coordTenant struct {
-	weight float64
-	sem    chan struct{}
-
-	inFlight atomic.Int64
-	served   atomic.Int64
-	rejected atomic.Int64
-}
-
 // Coordinator fans queries out to shard nodbd instances and merges their
-// partial streams into one result. It serves the same HTTP surface as a
-// single-node server (/query, /query/stream, /explain, /tables, /schema,
-// /stats, /healthz, /readyz), so clients cannot tell a coordinator from a
-// node — except for the extra "cluster" block in stats trailers.
+// partial streams into one result. It serves the same HTTP front door as
+// a single-node server (internal/httpapi), so clients cannot tell a
+// coordinator from a node — except for the extra "cluster" block in stats
+// trailers.
 type Coordinator struct {
-	cfg     CoordinatorConfig
-	shards  []*ShardClient
-	mux     *http.ServeMux
-	sem     chan struct{}
-	tenants map[string]*coordTenant // by tenant name; nil without a registry
+	*httpapi.Front
+	cfg    CoordinatorConfig
+	shards []*ShardClient
 
 	started time.Time
 	work    metrics.Counters // cluster-wide work counters across queries
@@ -164,12 +134,6 @@ type Coordinator struct {
 	healthStop chan struct{}
 	healthDone chan struct{}
 	closeOnce  sync.Once
-
-	inFlight  atomic.Int64
-	served    atomic.Int64
-	rejected  atomic.Int64
-	cancelled atomic.Int64
-	failed    atomic.Int64
 }
 
 // NewCoordinator builds a coordinator over cfg.Shards.
@@ -179,7 +143,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:      cfg,
-		mux:      http.NewServeMux(),
 		started:  time.Now(),
 		ready:    make([]atomic.Int32, len(cfg.Shards)),
 		breakers: make([]*Breaker, len(cfg.Shards)),
@@ -188,82 +151,31 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	for i := range c.breakers {
 		c.breakers[i] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerBackoff, 0)
 	}
-	globalSlots := cfg.maxInFlight()
-	if cfg.Tenants != nil {
-		// Same split as the single-node server: proportional to weight,
-		// at least one slot each, and the global pool grown to the
-		// per-tenant sum so no tenant's floor is blocked by rounding.
-		weights := cfg.Tenants.Weights()
-		var sum float64
-		for _, w := range weights {
-			sum += w
-		}
-		c.tenants = make(map[string]*coordTenant, len(weights))
-		total := 0
-		for name, w := range weights {
-			slots := int(float64(cfg.maxInFlight())*w/sum + 0.5)
-			if slots < 1 {
-				slots = 1
-			}
-			total += slots
-			c.tenants[name] = &coordTenant{weight: w, sem: make(chan struct{}, slots)}
-		}
-		if total > globalSlots {
-			globalSlots = total
-		}
-	}
-	c.sem = make(chan struct{}, globalSlots)
 	for _, addr := range cfg.Shards {
 		c.shards = append(c.shards, NewShardClient(addr, cfg.HTTPClient))
 	}
-	c.route("/query", c.handleQuery)
-	c.route("/query/stream", c.handleQueryStream)
-	c.route("/explain", c.handleExplain)
-	c.route("/tables", c.handleTables)
-	c.route("/schema", c.handleSchema)
-	c.route("/stats", c.handleStats)
-	c.mux.Handle("/healthz", wrapHandler(c.handleHealthz, ""))
-	c.mux.Handle("/readyz", wrapHandler(c.handleReadyz, ""))
+	c.Front = httpapi.New(httpapi.Config{
+		MaxInFlight:    cfg.MaxInFlight,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		MaxBodyBytes:   cfg.MaxBodyBytes,
+		Tenants:        cfg.Tenants,
+	}, httpapi.Backend{
+		Query:       c.query,
+		QueryStream: c.queryStream,
+		Explain:     c.explain,
+		Tables:      c.tables,
+		Schema:      c.schema,
+		Stats:       c.stats,
+		Health:      func() any { return map[string]string{"status": "ok"} },
+		Ready:       c.readiness,
+	})
 	if cfg.HealthInterval > 0 {
 		c.healthStop = make(chan struct{})
 		c.healthDone = make(chan struct{})
 		go c.healthLoop(cfg.HealthInterval)
 	}
 	return c, nil
-}
-
-// route mounts a handler at its canonical /v1 path and the deprecated
-// legacy path, mirroring the single-node server so clients cannot tell a
-// coordinator from a node.
-func (c *Coordinator) route(path string, h http.HandlerFunc) {
-	c.mux.Handle("/v1"+path, wrapHandler(h, ""))
-	c.mux.Handle(path, wrapHandler(h, "/v1"+path))
-}
-
-// wrapHandler applies the shared response contract: an X-Request-Id on
-// every response and Deprecation/Link headers on legacy aliases.
-func wrapHandler(h http.HandlerFunc, successor string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if id == "" {
-			id = newRequestID()
-		}
-		w.Header().Set("X-Request-Id", id)
-		if successor != "" {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		}
-		h(w, r)
-	})
-}
-
-// newRequestID generates a fresh 16-hex-digit request id.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // Close stops the health poller. Idempotent.
@@ -277,9 +189,6 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// ServeHTTP implements http.Handler.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
-
 // Work returns the coordinator's cumulative cluster work counters.
 func (c *Coordinator) Work() metrics.Snapshot { return c.work.Snapshot() }
 
@@ -289,32 +198,35 @@ func (c *Coordinator) healthLoop(interval time.Duration) {
 	defer close(c.healthDone)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	probe := func() {
-		var wg sync.WaitGroup
-		for i := range c.shards {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout())
-				defer cancel()
-				if err := c.shards[i].Ready(ctx); err != nil {
-					c.ready[i].Store(shardUnready)
-				} else {
-					c.ready[i].Store(shardReady)
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	probe()
+	c.probeAll(context.Background())
 	for {
 		select {
 		case <-tick.C:
-			probe()
+			c.probeAll(context.Background())
 		case <-c.healthStop:
 			return
 		}
 	}
+}
+
+// probeAll probes every shard's /readyz concurrently and records its
+// readiness.
+func (c *Coordinator) probeAll(ctx context.Context) {
+	ctx, cancel := context.WithTimeout(ctx, c.probeTimeout())
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := range c.shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := c.shards[i].Ready(ctx); err != nil {
+				c.ready[i].Store(shardUnready)
+			} else {
+				c.ready[i].Store(shardReady)
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 func (c *Coordinator) probeTimeout() time.Duration {
@@ -420,38 +332,59 @@ type coordStatsJSON struct {
 
 // scatterResult is one executed query: the final columns and either a
 // streaming iterator (ModeConcat/ModeSortMerge) or materialized rows
-// (ModeAgg/ModeGroupAgg; iter is a slice iterator over them). cleanup
-// must be called when consumption ends, successful or not.
+// (ModeAgg/ModeGroupAgg; iter is a slice iterator over them). It is the
+// front door's row cursor; Close must be called when consumption ends,
+// successful or not.
 type scatterResult struct {
 	columns []string
 	iter    exec.RowIter
 	cleanup func()
 	stats   *queryClusterStats
 	plan    *ScatterPlan
+	start   time.Time
+
+	row []storage.Value
+	err error
 }
 
-// scatterError wraps a fatal scatter failure with its HTTP status.
-type scatterError struct {
-	status int
-	err    error
+func (r *scatterResult) Columns() []string    { return r.columns }
+func (r *scatterResult) Row() []storage.Value { return r.row }
+func (r *scatterResult) Err() error           { return r.err }
+func (r *scatterResult) Close() error         { r.cleanup(); return nil }
+
+func (r *scatterResult) Next() bool {
+	row, ok, err := r.iter.Next()
+	if err != nil {
+		r.err = err
+		return false
+	}
+	if ok {
+		r.row = row
+		r.stats.rows.Add(1)
+	}
+	return ok
 }
 
-func (e *scatterError) Error() string { return e.err.Error() }
-func (e *scatterError) Unwrap() error { return e.err }
-
-func scatterErrf(status int, format string, args ...any) *scatterError {
-	return &scatterError{status: status, err: fmt.Errorf(format, args...)}
+// Stats is the coordinator's stats object: wall time, the scatter plan,
+// and the cluster block with partial_results and the failed shards when
+// degraded.
+func (r *scatterResult) Stats() any {
+	return coordStatsJSON{
+		WallMicros: time.Since(r.start).Microseconds(),
+		Plan:       planString(r.plan, r.stats),
+		Cluster:    r.stats.json(),
+	}
 }
 
 // shardFatal converts a terminal shard error into the scatter error the
 // client sees: a shard's own 4xx (it rejected the query) passes through,
 // anything else is a bad-gateway-style upstream failure.
-func shardFatal(err error) *scatterError {
+func shardFatal(err error) *httpapi.Error {
 	var se *ShardError
 	if errors.As(err, &se) && se.Status >= 400 && se.Status < 500 && se.Status != http.StatusTooManyRequests {
-		return &scatterError{status: se.Status, err: err}
+		return &httpapi.Error{Status: se.Status, Err: err}
 	}
-	return &scatterError{status: http.StatusBadGateway, err: err}
+	return &httpapi.Error{Status: http.StatusBadGateway, Err: err}
 }
 
 // candidates applies health admission and synopsis pruning, returning the
@@ -508,32 +441,41 @@ func (c *Coordinator) candidates(ctx context.Context, plan *ScatterPlan, st *que
 }
 
 // executeScatter runs one query across the cluster.
-func (c *Coordinator) executeScatter(ctx context.Context, query string) (*scatterResult, *scatterError) {
+func (c *Coordinator) executeScatter(ctx context.Context, query string) (*scatterResult, error) {
+	start := time.Now()
 	plan, err := BuildScatterPlan(query)
 	if err != nil {
-		return nil, &scatterError{status: http.StatusBadRequest, err: err}
+		return nil, &httpapi.Error{Status: http.StatusBadRequest, Err: err}
 	}
 	st := &queryClusterStats{shardsTotal: len(c.shards)}
 	cand := c.candidates(ctx, plan, st)
 	if len(cand) == 0 {
 		if failed := st.failedShards(); len(failed) > 0 {
-			return nil, scatterErrf(http.StatusBadGateway, "cluster: all shards unavailable: %v", failed)
+			return nil, httpapi.Errorf(http.StatusBadGateway, "cluster: all shards unavailable: %v", failed)
 		}
-		return nil, scatterErrf(http.StatusBadGateway, "cluster: no shards available")
+		return nil, httpapi.Errorf(http.StatusBadGateway, "cluster: no shards available")
 	}
+	var res *scatterResult
 	switch plan.Mode {
 	case ModeConcat, ModeSortMerge:
-		return c.runStreaming(ctx, plan, cand, st)
+		res, err = c.runStreaming(ctx, plan, cand, st)
 	default:
-		return c.runAggregate(ctx, plan, cand, st)
+		res, err = c.runAggregate(ctx, plan, cand, st)
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.start = start
+	release := res.cleanup
+	res.cleanup = func() { release(); c.fold(st) }
+	return res, nil
 }
 
 // runStreaming executes ModeConcat/ModeSortMerge: open every candidate's
 // stream concurrently, then merge them in shard order through buffered
 // prefetchers so all shards stay busy while the merge pulls
 // single-threaded.
-func (c *Coordinator) runStreaming(ctx context.Context, plan *ScatterPlan, cand []int, st *queryClusterStats) (*scatterResult, *scatterError) {
+func (c *Coordinator) runStreaming(ctx context.Context, plan *ScatterPlan, cand []int, st *queryClusterStats) (*scatterResult, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	iters := make([]*shardIter, len(cand))
 	primeErrs := make([]error, len(cand))
@@ -598,7 +540,7 @@ func (c *Coordinator) runStreaming(ctx context.Context, plan *ScatterPlan, cand 
 		keys, err := resolveOrder(plan.Order, columns)
 		if err != nil {
 			cleanup()
-			return nil, &scatterError{status: http.StatusBadRequest, err: err}
+			return nil, &httpapi.Error{Status: http.StatusBadRequest, Err: err}
 		}
 		merged = exec.NewMergeSorted(inputs, keys, plan.Limit, onErr)
 	} else {
@@ -612,7 +554,7 @@ func (c *Coordinator) runStreaming(ctx context.Context, plan *ScatterPlan, cand 
 // that fails mid-drain is discarded whole — partials are all-or-nothing
 // per shard, so a survivor set still merges to the exact answer over the
 // shards it covers.
-func (c *Coordinator) runAggregate(ctx context.Context, plan *ScatterPlan, cand []int, st *queryClusterStats) (*scatterResult, *scatterError) {
+func (c *Coordinator) runAggregate(ctx context.Context, plan *ScatterPlan, cand []int, st *queryClusterStats) (*scatterResult, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type drainResult struct {
@@ -674,7 +616,7 @@ func (c *Coordinator) runAggregate(ctx context.Context, plan *ScatterPlan, cand 
 		if len(plan.Order) > 0 {
 			keys, err := resolveOrder(plan.Order, plan.Columns)
 			if err != nil {
-				return nil, &scatterError{status: http.StatusBadRequest, err: err}
+				return nil, &httpapi.Error{Status: http.StatusBadRequest, Err: err}
 			}
 			exec.SortRows(rows, keys)
 		}
@@ -714,413 +656,44 @@ func planString(plan *ScatterPlan, st *queryClusterStats) string {
 		plan.Mode, st.shardsTotal, st.pruned, plan.PushedSQL)
 }
 
-// ---- HTTP surface ----
+// ---- front-door backend ----
 
-type queryRequest struct {
-	Query     string `json:"query"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
-}
-
-// errorResponse is the NDJSON in-band stream trailer for a query that
-// dies mid-stream; the shard-side merge path parses this flat shape.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-// writeError emits the v1 error envelope {"error":{"code","message"}},
-// matching the single-node server byte for byte.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	code := "internal"
-	switch status {
-	case http.StatusBadRequest:
-		code = "invalid_request"
-	case http.StatusUnauthorized:
-		code = "unauthorized"
-	case http.StatusNotFound:
-		code = "not_found"
-	case http.StatusMethodNotAllowed:
-		code = "method_not_allowed"
-	case http.StatusRequestEntityTooLarge:
-		code = "payload_too_large"
-	case http.StatusTooManyRequests:
-		code = "rate_limited"
-	case http.StatusBadGateway:
-		code = "upstream_failed"
-	case http.StatusServiceUnavailable:
-		code = "unavailable"
-	case http.StatusGatewayTimeout:
-		code = "timeout"
-	}
-	writeJSON(w, status, errorEnvelope{Error: errorBody{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	}})
-}
-
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func (c *Coordinator) readQueryRequest(w http.ResponseWriter, r *http.Request) (queryRequest, bool) {
-	var req queryRequest
-	switch r.Method {
-	case http.MethodGet:
-		req.Query = r.URL.Query().Get("q")
-		if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
-			v, err := strconv.ParseInt(ms, 10, 64)
-			if err != nil || v < 0 {
-				writeError(w, http.StatusBadRequest, "invalid timeout_ms %q", ms)
-				return queryRequest{}, false
-			}
-			req.TimeoutMS = v
-		}
-	case http.MethodPost:
-		body := http.MaxBytesReader(w, r.Body, c.cfg.maxBodyBytes())
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					"request body exceeds %d bytes", tooBig.Limit)
-				return queryRequest{}, false
-			}
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-			return queryRequest{}, false
-		}
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return queryRequest{}, false
-	}
-	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, "missing query")
-		return queryRequest{}, false
-	}
-	return req, true
-}
-
-// resolveTenant maps the request's X-API-Key through the registry.
-// Without a registry every caller is the anonymous tenant ("", ok).
-func (c *Coordinator) resolveTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if c.cfg.Tenants == nil {
-		return "", true
-	}
-	t, err := c.cfg.Tenants.Resolve(r.Header.Get("X-API-Key"))
+// query runs a buffered /v1/query: the merged rows are drained before the
+// response is written, so the cluster block counts every merged byte.
+func (c *Coordinator) query(ctx context.Context, query string) (httpapi.Result, error) {
+	res, err := c.executeScatter(ctx, query)
 	if err != nil {
-		writeJSON(w, http.StatusUnauthorized, errorEnvelope{Error: errorBody{
-			Code:    "unknown_api_key",
-			Message: "unknown API key (set X-API-Key to a configured tenant key)",
-		}})
-		return "", false
-	}
-	return t.Name, true
-}
-
-func (c *Coordinator) admit(w http.ResponseWriter, tenant string) (release func(), ok bool) {
-	ts := c.tenants[tenant]
-	if ts != nil {
-		select {
-		case ts.sem <- struct{}{}:
-		default:
-			ts.rejected.Add(1)
-			c.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests,
-				"tenant %q at capacity (%d queries in flight)", tenant, cap(ts.sem))
-			return nil, false
-		}
-	}
-	select {
-	case c.sem <- struct{}{}:
-		c.inFlight.Add(1)
-		if ts != nil {
-			ts.inFlight.Add(1)
-		}
-		return func() {
-			c.inFlight.Add(-1)
-			<-c.sem
-			if ts != nil {
-				ts.inFlight.Add(-1)
-				<-ts.sem
-			}
-		}, true
-	default:
-		if ts != nil {
-			<-ts.sem
-			ts.rejected.Add(1)
-		}
-		c.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			"coordinator at capacity (%d queries in flight)", cap(c.sem))
-		return nil, false
-	}
-}
-
-func (c *Coordinator) queryContext(r *http.Request, req queryRequest, tenant string) (context.Context, context.CancelFunc) {
-	timeout := c.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if c.cfg.MaxTimeout > 0 && (timeout == 0 || timeout > c.cfg.MaxTimeout) {
-		timeout = c.cfg.MaxTimeout
-	}
-	ctx := qos.WithTenant(r.Context(), tenant)
-	if key := r.Header.Get("X-API-Key"); key != "" {
-		// Carry the caller's identity so shard requests run as the caller's
-		// tenant, not as the coordinator.
-		ctx = qos.WithAPIKey(ctx, key)
-	}
-	if timeout > 0 {
-		return context.WithTimeout(ctx, timeout)
-	}
-	return context.WithCancel(ctx)
-}
-
-func (c *Coordinator) countOutcome(code int) {
-	if code == http.StatusGatewayTimeout || code == http.StatusServiceUnavailable {
-		c.cancelled.Add(1)
-	} else {
-		c.failed.Add(1)
-	}
-}
-
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	tenant, ok := c.resolveTenant(w, r)
-	if !ok {
-		return
-	}
-	req, ok := c.readQueryRequest(w, r)
-	if !ok {
-		return
-	}
-	release, ok := c.admit(w, tenant)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := c.queryContext(r, req, tenant)
-	defer cancel()
-
-	start := time.Now()
-	res, serr := c.executeScatter(ctx, req.Query)
-	c.served.Add(1)
-	if ts := c.tenants[tenant]; ts != nil {
-		ts.served.Add(1)
-	}
-	if serr != nil {
-		c.countOutcome(serr.status)
-		writeError(w, serr.status, "%v", serr.err)
-		return
+		return httpapi.Result{}, err
 	}
 	rows, err := exec.DrainRowIter(res.iter)
-	res.cleanup()
 	res.stats.rows.Add(int64(len(rows)))
-	c.fold(res.stats)
+	res.Close()
 	if err != nil {
-		c.failed.Add(1)
-		writeError(w, http.StatusBadGateway, "%v", err)
-		return
+		return httpapi.Result{}, &httpapi.Error{Status: http.StatusBadGateway, Err: err}
 	}
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		out[i] = encodeRow(row)
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Columns []string       `json:"columns"`
-		Rows    [][]any        `json:"rows"`
-		Stats   coordStatsJSON `json:"stats"`
-	}{
-		Columns: res.columns,
-		Rows:    out,
-		Stats: coordStatsJSON{
-			WallMicros: time.Since(start).Microseconds(),
-			Plan:       planString(res.plan, res.stats),
-			Cluster:    res.stats.json(),
-		},
-	})
+	return httpapi.Result{Columns: res.columns, Rows: rows, Stats: res.Stats()}, nil
 }
 
-const (
-	streamFlushEvery    = 64
-	streamFlushInterval = 50 * time.Millisecond
-)
-
-// handleQueryStream streams the merged result as NDJSON with the same
-// framing as a single node: a {"columns": [...]} header, one JSON array
-// per row, and a {"stats": {...}} trailer — carrying the cluster block
-// with partial_results and the failed shards when degraded.
-func (c *Coordinator) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	tenant, ok := c.resolveTenant(w, r)
-	if !ok {
-		return
-	}
-	req, ok := c.readQueryRequest(w, r)
-	if !ok {
-		return
-	}
-	release, ok := c.admit(w, tenant)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := c.queryContext(r, req, tenant)
-	defer cancel()
-
-	start := time.Now()
-	res, serr := c.executeScatter(ctx, req.Query)
-	c.served.Add(1)
-	if ts := c.tenants[tenant]; ts != nil {
-		ts.served.Add(1)
-	}
-	if serr != nil {
-		c.countOutcome(serr.status)
-		writeError(w, serr.status, "%v", serr.err)
-		return
-	}
-	defer func() {
-		res.cleanup()
-		c.fold(res.stats)
-	}()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-
-	var wmu sync.Mutex
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	stopFlush := make(chan struct{})
-	flushDone := make(chan struct{})
-	defer func() { close(stopFlush); <-flushDone }()
-	go func() {
-		defer close(flushDone)
-		tick := time.NewTicker(streamFlushInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				wmu.Lock()
-				flush()
-				wmu.Unlock()
-			case <-stopFlush:
-				return
-			}
-		}
-	}()
-
-	wmu.Lock()
-	err := enc.Encode(map[string][]string{"columns": res.columns})
-	flush()
-	wmu.Unlock()
+func (c *Coordinator) queryStream(ctx context.Context, query string) (httpapi.Rows, error) {
+	res, err := c.executeScatter(ctx, query)
 	if err != nil {
-		c.cancelled.Add(1)
-		return
+		return nil, err
 	}
-
-	n := 0
-	for {
-		row, ok, rerr := res.iter.Next()
-		if rerr != nil {
-			c.failed.Add(1)
-			wmu.Lock()
-			_ = enc.Encode(errorResponse{Error: rerr.Error()})
-			flush()
-			wmu.Unlock()
-			return
-		}
-		if !ok {
-			break
-		}
-		res.stats.rows.Add(1)
-		wmu.Lock()
-		werr := enc.Encode(encodeRow(row))
-		if werr == nil && n%streamFlushEvery == 0 {
-			flush()
-		}
-		wmu.Unlock()
-		n++
-		if werr != nil {
-			var uve *json.UnsupportedValueError
-			if errors.As(werr, &uve) {
-				c.failed.Add(1)
-				wmu.Lock()
-				_ = enc.Encode(errorResponse{Error: werr.Error()})
-				flush()
-				wmu.Unlock()
-				return
-			}
-			c.cancelled.Add(1)
-			return
-		}
-	}
-	wmu.Lock()
-	defer wmu.Unlock()
-	_ = enc.Encode(map[string]coordStatsJSON{"stats": {
-		WallMicros: time.Since(start).Microseconds(),
-		Plan:       planString(res.plan, res.stats),
-		Cluster:    res.stats.json(),
-	}})
-	flush()
+	return res, nil
 }
 
-// encodeRow converts one typed row to JSON-friendly scalars, mirroring
-// the single-node server's encoding so coordinator output is
-// byte-identical.
-func encodeRow(row []storage.Value) []any {
-	out := make([]any, len(row))
-	for j, v := range row {
-		switch v.Typ {
-		case schema.Int64:
-			out[j] = v.I
-		case schema.Float64:
-			out[j] = v.F
-		default:
-			out[j] = v.S
-		}
-	}
-	return out
-}
-
-// handleExplain compiles the scatter plan without executing it.
-func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if _, ok := c.resolveTenant(w, r); !ok {
-		return
-	}
-	req, ok := c.readQueryRequest(w, r)
-	if !ok {
-		return
-	}
-	plan, err := BuildScatterPlan(req.Query)
+// explain compiles the scatter plan without executing it.
+func (c *Coordinator) explain(_ context.Context, query string) (string, error) {
+	plan, err := BuildScatterPlan(query)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return "", err
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"plan": fmt.Sprintf(
-		"scatter(%s) shards=%d push=%q", plan.Mode, len(c.shards), plan.PushedSQL)})
+	return fmt.Sprintf("scatter(%s) shards=%d push=%q", plan.Mode, len(c.shards), plan.PushedSQL), nil
 }
 
-// handleTables returns the union of shard table sets.
-func (c *Coordinator) handleTables(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), c.probeTimeout())
+// tables returns the union of shard table sets.
+func (c *Coordinator) tables(ctx context.Context) (any, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.probeTimeout())
 	defer cancel()
 	seen := map[string]bool{}
 	var any bool
@@ -1135,26 +708,20 @@ func (c *Coordinator) handleTables(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !any {
-		writeError(w, http.StatusBadGateway, "cluster: no shard answered /tables")
-		return
+		return nil, httpapi.Errorf(http.StatusBadGateway, "cluster: no shard answered /tables")
 	}
 	tables := make([]string, 0, len(seen))
 	for n := range seen {
 		tables = append(tables, n)
 	}
 	sort.Strings(tables)
-	writeJSON(w, http.StatusOK, map[string][]string{"tables": tables})
+	return map[string][]string{"tables": tables}, nil
 }
 
-// handleSchema proxies the first shard that answers; shards of one
-// logical dataset share a schema by construction.
-func (c *Coordinator) handleSchema(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("table")
-	if name == "" {
-		writeError(w, http.StatusBadRequest, "missing table parameter")
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.probeTimeout())
+// schema proxies the first shard that answers; shards of one logical
+// dataset share a schema by construction.
+func (c *Coordinator) schema(ctx context.Context, name string) (any, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.probeTimeout())
 	defer cancel()
 	var lastErr error
 	for _, sc := range c.shards {
@@ -1163,18 +730,14 @@ func (c *Coordinator) handleSchema(w http.ResponseWriter, r *http.Request) {
 			lastErr = err
 			continue
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(out)
-		_, _ = w.Write([]byte("\n"))
-		return
+		return out, nil
 	}
 	status := http.StatusBadGateway
 	var se *ShardError
 	if errors.As(lastErr, &se) && se.Status == http.StatusNotFound {
 		status = http.StatusNotFound
 	}
-	writeError(w, status, "%v", lastErr)
+	return nil, &httpapi.Error{Status: status, Err: lastErr}
 }
 
 type shardStatusJSON struct {
@@ -1206,105 +769,35 @@ func (c *Coordinator) shardStates() []shardStatusJSON {
 	return out
 }
 
-// coordTenantStatsJSON mirrors the single-node server's per-tenant
-// admission accounting so /stats reads the same either side of a
-// coordinator.
-type coordTenantStatsJSON struct {
-	Weight   float64 `json:"weight"`
-	Slots    int     `json:"slots"`
-	InFlight int64   `json:"in_flight"`
-	Served   int64   `json:"served"`
-	Rejected int64   `json:"rejected"`
-}
-
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	var tenants map[string]coordTenantStatsJSON
-	if len(c.tenants) > 0 {
-		tenants = make(map[string]coordTenantStatsJSON, len(c.tenants))
-		for name, ts := range c.tenants {
-			tenants[name] = coordTenantStatsJSON{
-				Weight:   ts.weight,
-				Slots:    cap(ts.sem),
-				InFlight: ts.inFlight.Load(),
-				Served:   ts.served.Load(),
-				Rejected: ts.rejected.Load(),
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		UptimeSeconds float64           `json:"uptime_seconds"`
-		Mode          string            `json:"mode"`
-		Shards        []shardStatusJSON `json:"shards"`
-		Work          metrics.Snapshot  `json:"work"`
-		Server        struct {
-			InFlight    int64 `json:"in_flight"`
-			MaxInFlight int   `json:"max_in_flight"`
-			Served      int64 `json:"served"`
-			Rejected    int64 `json:"rejected"`
-			Cancelled   int64 `json:"cancelled"`
-			Failed      int64 `json:"failed"`
-		} `json:"server"`
-		Tenants map[string]coordTenantStatsJSON `json:"tenants,omitempty"`
+func (c *Coordinator) stats(adm httpapi.Admission) any {
+	return struct {
+		UptimeSeconds float64                        `json:"uptime_seconds"`
+		Mode          string                         `json:"mode"`
+		Shards        []shardStatusJSON              `json:"shards"`
+		Work          metrics.Snapshot               `json:"work"`
+		Server        httpapi.AdmissionStats         `json:"server"`
+		Tenants       map[string]httpapi.TenantStats `json:"tenants,omitempty"`
 	}{
 		UptimeSeconds: time.Since(c.started).Seconds(),
 		Mode:          "coordinator",
 		Shards:        c.shardStates(),
 		Work:          c.work.Snapshot(),
-		Server: struct {
-			InFlight    int64 `json:"in_flight"`
-			MaxInFlight int   `json:"max_in_flight"`
-			Served      int64 `json:"served"`
-			Rejected    int64 `json:"rejected"`
-			Cancelled   int64 `json:"cancelled"`
-			Failed      int64 `json:"failed"`
-		}{
-			InFlight:    c.inFlight.Load(),
-			MaxInFlight: cap(c.sem),
-			Served:      c.served.Load(),
-			Rejected:    c.rejected.Load(),
-			Cancelled:   c.cancelled.Load(),
-			Failed:      c.failed.Load(),
-		},
-		Tenants: tenants,
-	})
+		Server:        adm.Server,
+		Tenants:       adm.Tenants,
+	}
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz reports the coordinator ready when every shard admits
+// readiness reports the coordinator ready when every shard admits
 // queries. Without a background poller the shards are probed on demand.
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) readiness(ctx context.Context) (int, any) {
 	if c.cfg.HealthInterval <= 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), c.probeTimeout())
-		defer cancel()
-		var wg sync.WaitGroup
-		for i := range c.shards {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if err := c.shards[i].Ready(ctx); err != nil {
-					c.ready[i].Store(shardUnready)
-				} else {
-					c.ready[i].Store(shardReady)
-				}
-			}(i)
-		}
-		wg.Wait()
+		c.probeAll(ctx)
 	}
 	states := c.shardStates()
-	allReady := true
 	for _, s := range states {
 		if s.State != "ready" {
-			allReady = false
+			return http.StatusServiceUnavailable, map[string]any{"status": "degraded", "shards": states}
 		}
 	}
-	if !allReady {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "degraded", "shards": states,
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": states})
+	return http.StatusOK, map[string]any{"status": "ok", "shards": states}
 }

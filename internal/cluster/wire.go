@@ -12,9 +12,9 @@
 //     at the coordinator, exactly once, so integer aggregates merge with
 //     no precision loss).
 //   - Synopsis-aware shard pruning: shards export their per-portion zone
-//     maps via /cluster/synopsis; the coordinator caches them and skips a
-//     shard entirely when every portion is provably unsatisfiable — the
-//     PR 5 portion-pruning idea applied before any round trip happens.
+//     maps via /v1/cluster/synopsis; the coordinator caches them and skips
+//     a shard entirely when every portion is provably unsatisfiable — the
+//     scan's portion-pruning idea applied before any round trip happens.
 //   - Degraded mode as a first-class state: per-shard timeouts and bounded
 //     retry with backoff, and when a shard stays dead the query completes
 //     with partial_results reported in the stats trailer — never silently
@@ -27,6 +27,11 @@
 // files: concatenation preserves scan order, the k-way merge reproduces
 // sort.SliceStable's tie behavior, and group merging reproduces
 // first-appearance order. The differential test suite pins this.
+//
+// The coordinator serves clients through the same HTTP front door as a
+// node (internal/httpapi): it is one more backend behind it, supplying
+// the scatter-gather query paths and the cluster's explain, tables,
+// schema, stats and readiness bodies.
 package cluster
 
 import (
@@ -36,7 +41,7 @@ import (
 	"nodb/internal/synopsis"
 )
 
-// SynopsisResponse is the /cluster/synopsis body: every linked table's
+// SynopsisResponse is the /v1/cluster/synopsis body: every linked table's
 // exported scan synopsis.
 type SynopsisResponse struct {
 	Tables map[string]TableSynopsis `json:"tables"`
@@ -93,7 +98,7 @@ type BoundsJSON struct {
 }
 
 // EncodeTableSynopsis converts a DB synopsis export plus the table's
-// schema into wire form. Shard-side: the server's /cluster/synopsis
+// schema into wire form. Shard-side: the server's /v1/cluster/synopsis
 // handler calls this per linked table.
 func EncodeTableSynopsis(exp nodb.SynopsisExport, sch *schema.Schema) TableSynopsis {
 	out := TableSynopsis{

@@ -379,19 +379,6 @@ func (e *Engine) Refresh(name string) (RefreshResult, error) {
 	}, nil
 }
 
-// Link registers a raw file under a table name with full auto-detection.
-//
-// Deprecated: Link is Attach(name, TableSpec{Path: path}); new code should
-// use Attach, which can also force the format and request tail-following.
-func (e *Engine) Link(name, path string) error {
-	return e.Attach(name, TableSpec{Path: path})
-}
-
-// Unlink removes a table and its derived state.
-//
-// Deprecated: Unlink is the old name of Detach.
-func (e *Engine) Unlink(name string) error { return e.Detach(name) }
-
 // Tables returns the linked table names.
 func (e *Engine) Tables() []string { return e.cat.Tables() }
 

@@ -90,7 +90,7 @@ func ClusterScaling(c Config) (*Report, error) {
 				Workers:  1,
 				SplitDir: filepath.Join(dir, fmt.Sprintf("cluster_splits_%d_of_%d", i, n)),
 			})
-			if err := db.Link("R", path); err != nil {
+			if err := db.Attach("R", nodb.TableSpec{Path: path}); err != nil {
 				db.Close()
 				return fail(err)
 			}
@@ -116,7 +116,7 @@ func ClusterScaling(c Config) (*Report, error) {
 		start := time.Now()
 		for _, q := range workload {
 			body, _ := json.Marshal(map[string]string{"query": q})
-			resp, err := http.Post(cts.URL+"/query", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(cts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 			if err != nil {
 				return fail(err)
 			}

@@ -43,7 +43,7 @@ func Concurrency(cfg Config) (*Report, error) {
 		series := Series{Name: pol.String()}
 		for _, clients := range clientCounts {
 			e := core.NewEngine(core.Options{Policy: pol, DisableRevalidation: true})
-			if err := e.Link("R", path); err != nil {
+			if err := e.Attach("R", core.TableSpec{Path: path}); err != nil {
 				return nil, err
 			}
 			rng := rand.New(rand.NewSource(cfg.seed()))

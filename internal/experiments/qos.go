@@ -73,7 +73,7 @@ func RedundantTraffic(c Config) (*Report, error) {
 			return 0, err
 		}
 		defer db.Close()
-		if err := db.Link("R", path); err != nil {
+		if err := db.Attach("R", nodb.TableSpec{Path: path}); err != nil {
 			return 0, err
 		}
 		before := db.Work()
@@ -104,7 +104,7 @@ func RedundantTraffic(c Config) (*Report, error) {
 		return nil, err
 	}
 	defer db.Close()
-	if err := db.Link("R", path); err != nil {
+	if err := db.Attach("R", nodb.TableSpec{Path: path}); err != nil {
 		return nil, err
 	}
 	before := db.Work()
@@ -228,11 +228,11 @@ func TenantIsolation(c Config) (*Report, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := db.Link("R", path); err != nil {
+		if err := db.Attach("R", nodb.TableSpec{Path: path}); err != nil {
 			db.Close()
 			return nil, nil, err
 		}
-		if err := db.Link("L", lightPath); err != nil {
+		if err := db.Attach("L", nodb.TableSpec{Path: lightPath}); err != nil {
 			db.Close()
 			return nil, nil, err
 		}

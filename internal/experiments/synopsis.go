@@ -78,7 +78,7 @@ func SynopsisSweep(c Config) (*Report, error) {
 			DisableSynopsis:     disable,
 			DisableRevalidation: true,
 		})
-		if err := eng.Link("R", path); err != nil {
+		if err := eng.Attach("R", core.TableSpec{Path: path}); err != nil {
 			eng.Close()
 			return nil, err
 		}

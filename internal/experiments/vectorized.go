@@ -51,7 +51,7 @@ func Vectorized(c Config) (*Report, error) {
 			ChunkSize:         c.ChunkSize,
 			DisableVectorExec: disable,
 		})
-		if err := eng.Link("R", path); err != nil {
+		if err := eng.Attach("R", core.TableSpec{Path: path}); err != nil {
 			eng.Close()
 			return nil, err
 		}

@@ -63,7 +63,7 @@ func WarmRestart(c Config) (*Report, error) {
 			DisableRevalidation: true,
 		})
 		defer eng.Close()
-		if err := eng.Link("R", path); err != nil {
+		if err := eng.Attach("R", core.TableSpec{Path: path}); err != nil {
 			return Series{}, err
 		}
 		s := Series{Name: name}

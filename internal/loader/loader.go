@@ -105,11 +105,14 @@ type portionedScan struct {
 // remembering); with the synopsis disabled this degrades to a plain
 // scanner with inert hooks. Layout read and adoption both go through the
 // collector, whose generation pin discards them if the synopsis is
-// dropped (file edited) mid-pass.
-func (l *Loader) openPortioned(ctx context.Context, t *catalog.Table, cols []int) (*portionedScan, error) {
+// dropped (file edited) mid-pass. A pass whose handlers ignore row ids
+// (numbered false) and that learns no layout skips the row-count
+// pre-pass of a parallel scan.
+func (l *Loader) openPortioned(ctx context.Context, t *catalog.Table, cols []int, numbered bool) (*portionedScan, error) {
 	syn := l.synFor(t)
 	collector := synopsis.NewCollector(syn, cols, colTypes(t.Schema(), cols))
 	opts := l.scanOpts(ctx, t)
+	opts.Unnumbered = !numbered
 	if syn != nil {
 		opts.Layout = collector.Layout()
 		opts.Portioned = true
@@ -276,7 +279,7 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 		return nil
 	}
 
-	ps, err := l.openPortioned(ctx, t, missing)
+	ps, err := l.openPortioned(ctx, t, missing, true)
 	if err != nil {
 		return err
 	}

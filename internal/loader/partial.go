@@ -75,7 +75,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 		predsAt[i] = conj.OnColumn(c)
 	}
 
-	ps, err := l.openPortioned(ctx, t, loadCols)
+	ps, err := l.openPortioned(ctx, t, loadCols, true)
 	if err != nil {
 		return nil, err
 	}

@@ -52,12 +52,14 @@ func (l *Loader) ScanRowsContext(ctx context.Context, t *catalog.Table, outCols 
 		predsAt[i] = conj.OnColumn(c)
 	}
 
-	ps, err := l.openPortioned(ctx, t, loadCols)
+	// Row ids matter only to positional-map recording; without it the
+	// rows stream unnumbered and a parallel pass reads the file once.
+	record := l.RecordPositions && t.PosMap != nil
+	ps, err := l.openPortioned(ctx, t, loadCols, record)
 	if err != nil {
 		return err
 	}
 
-	record := l.RecordPositions && t.PosMap != nil
 	// Unlike PartialScan, the streaming path always pushes predicates
 	// down (DisableEarlyAbandon is not honored here): it has no late
 	// filter, so disabling the abandon hook would emit non-qualifying

@@ -111,6 +111,12 @@ type Options struct {
 	// portion-granular pruning. Without it, a sequential scan keeps the
 	// classic single-portion stream that reads the file exactly once.
 	Portioned bool
+	// Unnumbered skips the row-count pre-pass of a multi-portion layout
+	// for callers that ignore global row ids (streaming scans that keep
+	// nothing keyed by row): each portion numbers its rows from 0 and
+	// reports Rows == -1, so the file is read once instead of twice.
+	// Portioned and a usable Layout take precedence.
+	Unnumbered bool
 	// StartOffset begins the scan at this byte offset instead of the top
 	// of the file. It must be newline-aligned (the first byte of a row);
 	// the caller vouches for that — typically it is a previously validated
@@ -197,7 +203,8 @@ type AbandonFunc func(idx int, field FieldRef) bool
 
 // PortionInfo describes one horizontal portion of the file: a
 // newline-aligned byte range plus the global row ids it holds. Rows is -1
-// when the portion has not been counted (single-portion lazy scans).
+// when the portion has not been counted (single-portion lazy scans and
+// Unnumbered layouts).
 type PortionInfo struct {
 	Index    int
 	Off, End int64 // byte range [Off, End)
@@ -309,6 +316,7 @@ func (s *Scanner) NumRows() (int64, error) {
 				s.countErr = err
 				return
 			}
+			s.portions[i].firstRow = total
 			s.portions[i].rows = n
 			total += n
 		}
@@ -428,6 +436,14 @@ func (s *Scanner) buildPortions() error {
 		}
 	}
 	bounds = append(bounds, s.size)
+	if s.opts.Unnumbered && !s.opts.Portioned {
+		s.portions = make([]portion, len(bounds)-1)
+		for i := range s.portions {
+			s.portions[i] = portion{off: bounds[i], end: bounds[i+1], rows: -1}
+		}
+		s.rows = -1
+		return nil
+	}
 
 	// Count rows per portion in parallel (ReadAt on one *os.File is safe
 	// for concurrent use); global row ids fall out of a prefix sum. This

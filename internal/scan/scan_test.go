@@ -191,6 +191,49 @@ func TestScanAbandonSkipsLaterAttrs(t *testing.T) {
 	}
 }
 
+// TestScanUnnumberedReadsOnce: a parallel scan whose caller ignores row
+// ids skips the row-count pre-pass, so it reads the file exactly once,
+// still tokenizes every row, and can count rows on demand afterwards.
+func TestScanUnnumberedReadsOnce(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 500; i++ {
+		fmt.Fprintf(&sb, "%d,%d\n", i, i*7)
+	}
+	path := writeFile(t, sb.String())
+	var c metrics.Counters
+	sc, err := Open(path, Options{Workers: 4, ChunkSize: 64, Unnumbered: true, Counters: &c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	err = sc.ScanColumns([]int{0}, func(_ int64, f []FieldRef) error {
+		mu.Lock()
+		seen[string(f[0].Bytes)] = true
+		mu.Unlock()
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 500 || sc.RowsScanned() != 500 {
+		t.Fatalf("tokenized %d distinct rows (%d scanned), want 500", len(seen), sc.RowsScanned())
+	}
+	if got := c.Snapshot().RawBytesRead; got != int64(sb.Len()) {
+		t.Fatalf("read %d raw bytes of a %d-byte file, want exactly one pass", got, sb.Len())
+	}
+	ports, err := sc.Portions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ports) < 2 || ports[0].Rows != -1 {
+		t.Fatalf("portions = %+v, want several uncounted portions", ports)
+	}
+	if n, err := sc.NumRows(); err != nil || n != 500 {
+		t.Fatalf("NumRows = %d, %v; want 500", n, err)
+	}
+}
+
 func TestScanNumRows(t *testing.T) {
 	path := writeFile(t, "1\n2\n3\n4\n5\n")
 	sc, err := Open(path, Options{})
@@ -495,13 +538,17 @@ func TestQuickScannerMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Handlers run concurrently when the scan has several workers.
+		var mu sync.Mutex
 		got := map[int64][]string{}
 		err = sc.ScanColumns(req, func(rowID int64, fields []FieldRef) error {
 			vals := make([]string, len(fields))
 			for i, f := range fields {
 				vals[i] = string(f.Bytes)
 			}
+			mu.Lock()
 			got[rowID] = vals
+			mu.Unlock()
 			return nil
 		}, nil)
 		if err != nil {

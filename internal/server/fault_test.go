@@ -26,18 +26,18 @@ func getStats(t *testing.T, url string) statsResponse {
 	return out
 }
 
-// TestPanicRecovery drives a panicking handler through the wrap
-// middleware: the client must get a clean 500 envelope carrying the
+// TestPanicRecovery drives a panicking handler through the front door's
+// wrapper: the client must get a clean 500 envelope carrying the
 // request id, the panics counter must tick, and the process must keep
 // serving (the next real query works).
 func TestPanicRecovery(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 
-	h := s.wrap(func(w http.ResponseWriter, r *http.Request) {
+	s.Handle("/panic", func(w http.ResponseWriter, r *http.Request) {
 		panic("boom: handler bug")
-	}, "")
+	})
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/panic", nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/panic", nil))
 
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
@@ -49,7 +49,7 @@ func TestPanicRecovery(t *testing.T) {
 	if body := rec.Body.String(); !strings.Contains(body, id) {
 		t.Fatalf("500 body %q must reference request id %s so logs correlate", body, id)
 	}
-	if got := s.panics.Load(); got != 1 {
+	if got := s.Admission().Server.Panics; got != 1 {
 		t.Fatalf("panics counter = %d, want 1", got)
 	}
 
@@ -69,12 +69,12 @@ func TestPanicRecovery(t *testing.T) {
 func TestPanicMidResponse(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 
-	h := s.wrap(func(w http.ResponseWriter, r *http.Request) {
+	s.Handle("/panic", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		panic("boom after headers")
-	}, "")
+	})
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/panic", nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/panic", nil))
 
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d; recovery must not overwrite an already-written response", rec.Code)
@@ -82,7 +82,7 @@ func TestPanicMidResponse(t *testing.T) {
 	if body := rec.Body.String(); strings.Contains(body, "internal error") {
 		t.Fatalf("recovery appended an error envelope to a started response: %q", body)
 	}
-	if got := s.panics.Load(); got != 1 {
+	if got := s.Admission().Server.Panics; got != 1 {
 		t.Fatalf("panics counter = %d, want 1", got)
 	}
 }

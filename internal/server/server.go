@@ -3,68 +3,39 @@
 // reproduction — "here are my data files, here are my queries" as a
 // service instead of a library call.
 //
-// The server adds the production concerns the engine itself stays out of:
-// admission control (a fixed number of in-flight queries; excess requests
-// get 429 instead of piling onto the engine), per-request timeouts layered
-// on the client's own context, and work/health introspection endpoints.
-// Cancellation is end-to-end: a client that disconnects or times out has
-// its context cancelled, which stops the engine's raw-file scan between
-// chunks via the QueryContext path.
+// The HTTP contract — request ids, the error envelope, tenant admission
+// (excess requests get 429 instead of piling onto the engine), per-request
+// timeouts, the buffered and NDJSON query endpoints, /v1/explain,
+// /v1/tables, /v1/schema, /v1/stats and the probes — is the front door in
+// internal/httpapi, shared with the cluster coordinator. This package is
+// the node's backend behind it: queries run through the engine
+// (/v1/query/stream through its streaming cursor, so the first rows
+// arrive while the raw-file scan is still running and a client that
+// disconnects stops the scan between chunks), and the node adds
 //
-// Endpoints (v1; the same paths without the /v1 prefix still work as
-// deprecated aliases and answer with a Deprecation header):
-//
-//	POST /v1/query         {"query": "...", "timeout_ms": 0}  -> columns, rows, stats
-//	GET  /v1/query?q=...                                      -> same
-//	POST /v1/query/stream  (same request shape)               -> NDJSON row stream
-//	POST /v1/explain       {"query": "..."} (or GET ?q=...)   -> physical plan text
-//	GET  /v1/tables                                           -> per-table state (signature, rows, adaptation)
 //	PUT  /v1/tables/{name} {"path": "...", "format": "",      -> attach (or replace) a table
 //	                        "delimiter": "", "follow": false}
 //	DELETE /v1/tables/{name}                                  -> detach a table
 //	POST /v1/tables/{name}/refresh                            -> re-stat the raw file now; appended
 //	                                                             rows are folded in incrementally
-//	GET  /v1/schema?table=name                                -> detected schema
-//	GET  /v1/stats                                            -> engine + server counters
-//	GET  /healthz, /readyz                                    -> probes (unversioned)
+//	GET  /v1/cluster/synopsis                                 -> scan synopses for shard pruning
 //
-// Every response echoes the request's X-Request-Id header (generating one
-// when absent), and every non-200 body is the envelope
-// {"error":{"code":"...","message":"..."}}. Tenancy: requests carry an
-// X-API-Key header; with a tenant registry configured the key selects the
-// tenant whose admission slots and memory share the query runs under
-// (unknown keys are rejected with 401 or mapped to the default tenant,
-// per the registry's policy).
-//
-// /query buffers the whole result; /query/stream writes one NDJSON line
-// per row through the engine's streaming cursor, flushing incrementally —
-// the first rows arrive while the raw-file scan is still running, and a
-// client that disconnects mid-stream stops the scan between chunks.
+// plus a periodic snapshot flusher and the follow loop that folds
+// appended rows into followed tables.
 package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io/fs"
-	"log"
 	"net/http"
-	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nodb"
 	"nodb/internal/cluster"
-	"nodb/internal/errs"
+	"nodb/internal/httpapi"
 	"nodb/internal/metrics"
 	"nodb/internal/qos"
-	"nodb/internal/schema"
-	"nodb/internal/storage"
 )
 
 // Config configures a Server.
@@ -98,38 +69,12 @@ type Config struct {
 	FollowInterval time.Duration
 }
 
-func (c Config) maxInFlight() int {
-	if c.MaxInFlight <= 0 {
-		return 64
-	}
-	return c.MaxInFlight
-}
-
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes <= 0 {
-		return 1 << 20
-	}
-	return c.MaxBodyBytes
-}
-
-// tenantState is one tenant's slice of the admission controller: a slot
-// pool sized by the tenant's weight, plus request accounting.
-type tenantState struct {
-	weight float64
-	sem    chan struct{}
-
-	inFlight atomic.Int64
-	served   atomic.Int64
-	rejected atomic.Int64
-}
-
-// Server serves queries against one shared DB.
+// Server serves queries against one shared DB. The embedded front door
+// supplies the HTTP contract; Server adds the node's backend, the table
+// lifecycle routes, and the snapshot and follow loops.
 type Server struct {
-	cfg     Config
-	db      *nodb.DB
-	sem     chan struct{}
-	mux     *http.ServeMux
-	tenants map[string]*tenantState // by tenant name; nil without a registry
+	*httpapi.Front
+	db *nodb.DB
 
 	started time.Time
 
@@ -141,24 +86,17 @@ type Server struct {
 	followDone chan struct{}
 	closeOnce  sync.Once
 
-	// ready flips once the operator has linked all tables; /readyz serves
-	// 503 until then so a coordinator doesn't route queries at a node
-	// still attaching files.
+	// ready flips once the operator has attached all tables; /readyz
+	// serves 503 until then so a coordinator doesn't route queries at a
+	// node still attaching files.
 	ready atomic.Bool
 
-	// Request accounting, all monotonic except inFlight.
-	inFlight   atomic.Int64
-	served     atomic.Int64 // queries executed to completion (ok or error)
-	rejected   atomic.Int64 // 429s from admission control
-	cancelled  atomic.Int64 // queries that died to context cancel/timeout
-	failed     atomic.Int64 // queries that returned any other error
-	snapSaves  atomic.Int64 // periodic snapshot flushes that succeeded
-	snapErrors atomic.Int64 // periodic snapshot flushes that failed
-
+	// Node accounting beyond the front door's, all monotonic.
+	snapSaves     atomic.Int64 // periodic snapshot flushes that succeeded
+	snapErrors    atomic.Int64 // periodic snapshot flushes that failed
 	refreshes     atomic.Int64 // explicit + follow-loop refreshes that completed
 	refreshErrors atomic.Int64 // refreshes that failed (I/O errors re-statting)
 	grown         atomic.Int64 // refreshes that folded in appended rows incrementally
-	panics        atomic.Int64 // handler panics converted to 500s
 
 	// followMu guards follow, the per-table backoff state of the follow
 	// loop: a table whose refresh keeps failing is retried with
@@ -178,52 +116,27 @@ const followBackoffCap = 5 * time.Minute
 
 // New creates a Server around cfg.DB.
 func New(cfg Config) *Server {
-	s := &Server{
-		cfg:     cfg,
-		db:      cfg.DB,
-		mux:     http.NewServeMux(),
-		started: time.Now(),
-	}
-	globalSlots := cfg.maxInFlight()
-	if cfg.Tenants != nil {
-		// Split the slot pool by weight. Every tenant gets at least one
-		// slot, so rounding can push the per-tenant sum past MaxInFlight;
-		// the global pool grows to match so a free tenant slot is never
-		// blocked by a rounding artifact.
-		weights := cfg.Tenants.Weights()
-		var sum float64
-		for _, w := range weights {
-			sum += w
-		}
-		s.tenants = make(map[string]*tenantState, len(weights))
-		total := 0
-		for name, w := range weights {
-			slots := int(float64(cfg.maxInFlight())*w/sum + 0.5)
-			if slots < 1 {
-				slots = 1
-			}
-			total += slots
-			s.tenants[name] = &tenantState{weight: w, sem: make(chan struct{}, slots)}
-		}
-		if total > globalSlots {
-			globalSlots = total
-		}
-	}
-	s.sem = make(chan struct{}, globalSlots)
-	s.route("/query", s.handleQuery)
-	s.route("/query/stream", s.handleQueryStream)
-	s.route("/explain", s.handleExplain)
-	s.route("/tables", s.handleTables)
-	// Lifecycle endpoints are v1-only (introduced with the versioned API;
-	// there is no legacy path to alias).
-	s.mux.Handle("PUT /v1/tables/{name}", s.wrap(s.handleTableAttach, ""))
-	s.mux.Handle("DELETE /v1/tables/{name}", s.wrap(s.handleTableDetach, ""))
-	s.mux.Handle("POST /v1/tables/{name}/refresh", s.wrap(s.handleTableRefresh, ""))
-	s.route("/schema", s.handleSchema)
-	s.route("/stats", s.handleStats)
-	s.route("/cluster/synopsis", s.handleClusterSynopsis)
-	s.mux.Handle("/healthz", s.wrap(s.handleHealthz, ""))
-	s.mux.Handle("/readyz", s.wrap(s.handleReadyz, ""))
+	s := &Server{db: cfg.DB, started: time.Now()}
+	s.Front = httpapi.New(httpapi.Config{
+		MaxInFlight:    cfg.MaxInFlight,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		MaxBodyBytes:   cfg.MaxBodyBytes,
+		Tenants:        cfg.Tenants,
+	}, httpapi.Backend{
+		Query:       s.query,
+		QueryStream: s.queryStream,
+		Explain:     s.db.ExplainContext,
+		Tables:      s.tables,
+		Schema:      s.schema,
+		Stats:       s.stats,
+		Health:      s.health,
+		Ready:       s.readiness,
+	})
+	s.Handle("PUT /v1/tables/{name}", s.handleTableAttach)
+	s.Handle("DELETE /v1/tables/{name}", s.handleTableDetach)
+	s.Handle("POST /v1/tables/{name}/refresh", s.handleTableRefresh)
+	s.Handle("/v1/cluster/synopsis", s.handleClusterSynopsis)
 	if cfg.SnapshotInterval > 0 {
 		s.flushStop = make(chan struct{})
 		s.flushDone = make(chan struct{})
@@ -235,79 +148,6 @@ func New(cfg Config) *Server {
 		go s.followLoop(cfg.FollowInterval)
 	}
 	return s
-}
-
-// route mounts a handler at its canonical /v1 path and at the legacy
-// unprefixed path. Both serve byte-identical bodies; the legacy alias
-// additionally answers with a Deprecation header and a Link to its
-// successor so clients can migrate mechanically.
-func (s *Server) route(path string, h http.HandlerFunc) {
-	s.mux.Handle("/v1"+path, s.wrap(h, ""))
-	s.mux.Handle(path, s.wrap(h, "/v1"+path))
-}
-
-// wrap applies the cross-cutting response contract: every response
-// carries an X-Request-Id (echoed from the request, or generated),
-// deprecated aliases advertise their successor, and a panicking handler
-// is converted into a 500 with the v1 error envelope instead of killing
-// the connection (and, without http.Server's recovery, the daemon).
-func (s *Server) wrap(h http.HandlerFunc, successor string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if id == "" {
-			id = newRequestID()
-		}
-		w.Header().Set("X-Request-Id", id)
-		if successor != "" {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.panics.Add(1)
-				log.Printf("nodb/server: panic serving %s %s (request %s): %v\n%s",
-					r.Method, r.URL.Path, id, rec, debug.Stack())
-				if !sw.wrote {
-					writeError(w, http.StatusInternalServerError, "internal error (request %s)", id)
-				}
-			}
-		}()
-		h(sw, r)
-	})
-}
-
-// statusWriter tracks whether a handler wrote anything, so the panic
-// recovery knows if a clean error envelope can still be sent.
-type statusWriter struct {
-	http.ResponseWriter
-	wrote bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-// Flush forwards streaming flushes (the NDJSON endpoints rely on it).
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// newRequestID generates a fresh 16-hex-digit request id.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // flushLoop periodically persists the DB's auxiliary structures so the
@@ -443,518 +283,42 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Handler returns the HTTP handler; mount it on an http.Server.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// ServeHTTP implements http.Handler directly so a Server can be passed to
-// httptest and http.Server without the extra Handler() hop.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// queryRequest is the /query and /explain request body.
-type queryRequest struct {
-	Query string `json:"query"`
-	// TimeoutMS bounds this query; 0 uses the server default. Capped by
-	// Config.MaxTimeout.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// errorEnvelope is every non-200 body: a stable machine-readable code
-// plus a human-readable message.
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// streamError is the NDJSON in-band trailer for a query that dies
-// mid-stream. It keeps the flat {"error": "..."} shape (headers are gone
-// by then, so this is a line in a row stream, not an HTTP error body) —
-// stream consumers, including the cluster coordinator's merge path,
-// parse it positionally.
-type streamError struct {
-	Error string `json:"error"`
-}
-
-// errCode maps an HTTP status to the envelope's stable error code.
-func errCode(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "invalid_request"
-	case http.StatusUnauthorized:
-		return "unauthorized"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusRequestEntityTooLarge:
-		return "payload_too_large"
-	case http.StatusTooManyRequests:
-		return "rate_limited"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	case http.StatusGatewayTimeout:
-		return "timeout"
-	default:
-		return "internal"
-	}
-}
-
-// queryResponse is the /query response body.
-type queryResponse struct {
-	Columns []string       `json:"columns"`
-	Rows    [][]any        `json:"rows"`
-	Stats   queryStatsJSON `json:"stats"`
-}
-
+// queryStatsJSON is the "stats" object of a node's query responses and
+// stream trailers.
 type queryStatsJSON struct {
 	WallMicros int64            `json:"wall_us"`
 	Work       metrics.Snapshot `json:"work"`
 	Plan       string           `json:"plan"`
 }
 
-// statsResponse is the /stats response body.
-type statsResponse struct {
-	UptimeSeconds float64                    `json:"uptime_seconds"`
-	Policy        string                     `json:"policy"`
-	MemBytes      int64                      `json:"mem_bytes"`
-	Memory        nodb.MemStats              `json:"memory"`
-	ResultCache   nodb.ResultCacheStats      `json:"result_cache"`
-	Snapshot      nodb.SnapStats             `json:"snapshot"`
-	Work          metrics.Snapshot           `json:"work"`
-	Server        serverStatsJSON            `json:"server"`
-	Tenants       map[string]tenantStatsJSON `json:"tenants,omitempty"`
-	// Ingest is the per-table append-ingestion accounting (rows/bytes
-	// folded in by incremental tail extensions); Followed lists the
-	// tables the follow loop polls.
-	Ingest   map[string]nodb.IngestStats `json:"ingest,omitempty"`
-	Followed []string                    `json:"followed,omitempty"`
+func statsJSON(st nodb.QueryStats) queryStatsJSON {
+	return queryStatsJSON{WallMicros: st.Wall.Microseconds(), Work: st.Work, Plan: st.Plan}
 }
 
-// tenantStatsJSON is one tenant's admission-control accounting; the
-// governor's per-tenant memory accounting lives under memory.tenants.
-type tenantStatsJSON struct {
-	Weight   float64 `json:"weight"`
-	Slots    int     `json:"slots"`
-	InFlight int64   `json:"in_flight"`
-	Served   int64   `json:"served"`
-	Rejected int64   `json:"rejected"`
-}
-
-type serverStatsJSON struct {
-	InFlight       int64 `json:"in_flight"`
-	MaxInFlight    int   `json:"max_in_flight"`
-	Served         int64 `json:"served"`
-	Rejected       int64 `json:"rejected"`
-	Cancelled      int64 `json:"cancelled"`
-	Failed         int64 `json:"failed"`
-	SnapshotSaves  int64 `json:"snapshot_saves"`
-	SnapshotErrors int64 `json:"snapshot_errors"`
-	Refreshes      int64 `json:"refreshes"`
-	RefreshErrors  int64 `json:"refresh_errors"`
-	Grown          int64 `json:"grown"`
-	Panics         int64 `json:"panics"`
-	// RefreshBackoff lists followed tables whose refreshes keep failing:
-	// table → consecutive failures (absent when everything is healthy).
-	RefreshBackoff map[string]int `json:"refresh_backoff,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeErrorCode(w, status, errCode(status), format, args...)
-}
-
-// writeErrorCode writes the error envelope with an explicit code, for the
-// cases where the status's default code is too coarse (e.g. 401
-// unknown_api_key vs plain unauthorized).
-func writeErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorEnvelope{Error: errorBody{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	}})
-}
-
-// readQueryRequest accepts POST {"query": ...} or GET ?q=...&timeout_ms=...
-func (s *Server) readQueryRequest(w http.ResponseWriter, r *http.Request) (queryRequest, bool) {
-	var req queryRequest
-	switch r.Method {
-	case http.MethodGet:
-		req.Query = r.URL.Query().Get("q")
-		if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
-			v, err := strconv.ParseInt(ms, 10, 64)
-			if err != nil || v < 0 {
-				writeError(w, http.StatusBadRequest, "invalid timeout_ms %q", ms)
-				return queryRequest{}, false
-			}
-			req.TimeoutMS = v
-		}
-	case http.MethodPost:
-		body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					"request body exceeds %d bytes", tooBig.Limit)
-				return queryRequest{}, false
-			}
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-			return queryRequest{}, false
-		}
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return queryRequest{}, false
-	}
-	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, "missing query")
-		return queryRequest{}, false
-	}
-	return req, true
-}
-
-// resolveTenant maps the request's X-API-Key to a tenant name. Without a
-// registry everyone is the default tenant; with one, unknown keys are
-// rejected with 401 or mapped to the default tenant per the registry's
-// policy.
-func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if s.cfg.Tenants == nil {
-		return qos.DefaultTenant, true
-	}
-	t, err := s.cfg.Tenants.Resolve(r.Header.Get("X-API-Key"))
+// query runs a buffered /v1/query through the engine.
+func (s *Server) query(ctx context.Context, query string) (httpapi.Result, error) {
+	res, err := s.db.QueryContext(ctx, query)
 	if err != nil {
-		writeErrorCode(w, http.StatusUnauthorized, "unknown_api_key",
-			"unknown API key (set X-API-Key to a configured tenant key)")
-		return "", false
+		return httpapi.Result{}, err
 	}
-	return t.Name, true
+	return httpapi.Result{Columns: res.Columns, Rows: res.Rows, Stats: statsJSON(res.Stats)}, nil
 }
 
-// admit reserves an execution slot, or rejects the request with 429.
-// With tenants configured, the slot comes out of the tenant's own pool
-// first, so a saturating tenant exhausts only its share and everyone
-// else keeps admitting. The release func must be called when the query
-// finishes.
-func (s *Server) admit(w http.ResponseWriter, tenant string) (release func(), ok bool) {
-	ts := s.tenants[tenant]
-	if ts != nil {
-		select {
-		case ts.sem <- struct{}{}:
-		default:
-			ts.rejected.Add(1)
-			s.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests,
-				"tenant %q at capacity (%d queries in flight)", tenant, cap(ts.sem))
-			return nil, false
-		}
-	}
-	select {
-	case s.sem <- struct{}{}:
-		s.inFlight.Add(1)
-		if ts != nil {
-			ts.inFlight.Add(1)
-		}
-		return func() {
-			s.inFlight.Add(-1)
-			<-s.sem
-			if ts != nil {
-				ts.inFlight.Add(-1)
-				<-ts.sem
-			}
-		}, true
-	default:
-		if ts != nil {
-			<-ts.sem
-		}
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			"server at capacity (%d queries in flight)", cap(s.sem))
-		return nil, false
-	}
-}
-
-// queryContext derives the execution context: the client's own context
-// (cancelled on disconnect) plus the request or server default timeout,
-// tagged with the tenant so the engine attributes memory to it.
-func (s *Server) queryContext(r *http.Request, req queryRequest, tenant string) (context.Context, context.CancelFunc) {
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if s.cfg.MaxTimeout > 0 && (timeout == 0 || timeout > s.cfg.MaxTimeout) {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx := qos.WithTenant(r.Context(), tenant)
-	if key := r.Header.Get("X-API-Key"); key != "" {
-		// Stash the raw key too, so a coordinator forwards the caller's
-		// identity to its shards instead of its own.
-		ctx = qos.WithAPIKey(ctx, key)
-	}
-	if timeout > 0 {
-		return context.WithTimeout(ctx, timeout)
-	}
-	return context.WithCancel(ctx)
-}
-
-// errStatus maps an execution error to an HTTP status.
-func errStatus(err error) int {
-	var pathErr *fs.PathError
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		// Client went away (or server shutting down) mid-query.
-		return http.StatusServiceUnavailable
-	case errors.Is(err, errs.ErrRawIO), errors.Is(err, errs.ErrFileShrunk),
-		errors.Is(err, errs.ErrDiskFull), errors.Is(err, errs.ErrSnapshotCorrupt):
-		// Classified storage failures: server faults, not caller bugs.
-		return http.StatusInternalServerError
-	case errors.As(err, &pathErr):
-		// The raw file vanished or became unreadable mid-query: a server
-		// fault, not a caller bug.
-		return http.StatusInternalServerError
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.readQueryRequest(w, r)
-	if !ok {
-		return
-	}
-	tenant, ok := s.resolveTenant(w, r)
-	if !ok {
-		return
-	}
-	release, ok := s.admit(w, tenant)
-	if !ok {
-		return
-	}
-	defer release()
-
-	ctx, cancel := s.queryContext(r, req, tenant)
-	defer cancel()
-
-	res, err := s.db.QueryContext(ctx, req.Query)
-	s.served.Add(1)
-	if ts := s.tenants[tenant]; ts != nil {
-		ts.served.Add(1)
-	}
+// queryStream opens the engine's streaming cursor for /v1/query/stream:
+// the first rows reach the client while the raw-file scan is still
+// running, and a disconnect stops the scan between chunks.
+func (s *Server) queryStream(ctx context.Context, query string) (httpapi.Rows, error) {
+	rows, err := s.db.QueryRows(ctx, query)
 	if err != nil {
-		code := errStatus(err)
-		if code == http.StatusGatewayTimeout || code == http.StatusServiceUnavailable {
-			s.cancelled.Add(1)
-		} else {
-			s.failed.Add(1)
-		}
-		writeError(w, code, "%v", err)
-		return
+		return nil, err
 	}
-
-	writeJSON(w, http.StatusOK, queryResponse{
-		Columns: res.Columns,
-		Rows:    encodeRows(res.Rows),
-		Stats: queryStatsJSON{
-			WallMicros: res.Stats.Wall.Microseconds(),
-			Work:       res.Stats.Work,
-			Plan:       res.Stats.Plan,
-		},
-	})
+	return cursor{rows}, nil
 }
 
-// streamFlushEvery bounds how many rows accumulate before the NDJSON
-// stream is flushed to the client, and streamFlushInterval bounds how long
-// written rows may sit in the response buffer when qualifying rows trickle
-// out of a selective scan (a background ticker flushes while the handler
-// is blocked waiting for the next row). Together they keep a fast scan
-// from being syscall-bound while a slow one delivers rows promptly.
-const (
-	streamFlushEvery    = 64
-	streamFlushInterval = 50 * time.Millisecond
-)
+// cursor adapts the engine's cursor to the front door's Rows.
+type cursor struct{ *nodb.Rows }
 
-// handleQueryStream streams a result as NDJSON through the engine's
-// cursor: a header line {"columns": [...]}, one JSON array per row, and a
-// trailer line — {"stats": {...}} on success, {"error": "..."} if the
-// query dies mid-stream. Rows are flushed incrementally, so the client
-// sees data while the raw-file scan is still running; a disconnect
-// cancels the request context, which stops the scan between chunks.
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.readQueryRequest(w, r)
-	if !ok {
-		return
-	}
-	tenant, ok := s.resolveTenant(w, r)
-	if !ok {
-		return
-	}
-	release, ok := s.admit(w, tenant)
-	if !ok {
-		return
-	}
-	defer release()
-
-	ctx, cancel := s.queryContext(r, req, tenant)
-	defer cancel()
-
-	rows, err := s.db.QueryRows(ctx, req.Query)
-	s.served.Add(1)
-	if ts := s.tenants[tenant]; ts != nil {
-		ts.served.Add(1)
-	}
-	if err != nil {
-		// Nothing streamed yet: a plain error response is still possible.
-		code := errStatus(err)
-		if code == http.StatusGatewayTimeout || code == http.StatusServiceUnavailable {
-			s.cancelled.Add(1)
-		} else {
-			s.failed.Add(1)
-		}
-		writeError(w, code, "%v", err)
-		return
-	}
-	defer rows.Close()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-
-	// The ResponseWriter is not safe for concurrent use; wmu serializes
-	// row writes against the background ticker that flushes pending bytes
-	// while the handler is blocked in rows.Next.
-	var wmu sync.Mutex
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// The writer must not be touched after the handler returns, so stop
-	// the ticker and wait for it before unwinding.
-	stopFlush := make(chan struct{})
-	flushDone := make(chan struct{})
-	defer func() { close(stopFlush); <-flushDone }()
-	go func() {
-		defer close(flushDone)
-		tick := time.NewTicker(streamFlushInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				wmu.Lock()
-				flush()
-				wmu.Unlock()
-			case <-stopFlush:
-				return
-			}
-		}
-	}()
-
-	wmu.Lock()
-	err = enc.Encode(map[string][]string{"columns": rows.Columns()})
-	flush()
-	wmu.Unlock()
-	if err != nil {
-		s.cancelled.Add(1)
-		return
-	}
-
-	n := 0
-	for rows.Next() {
-		wmu.Lock()
-		err := enc.Encode(encodeRow(rows.Row()))
-		if err == nil && n%streamFlushEvery == 0 {
-			flush()
-		}
-		wmu.Unlock()
-		n++
-		if err != nil {
-			var uve *json.UnsupportedValueError
-			if errors.As(err, &uve) {
-				// A value JSON cannot represent (NaN/Inf float). The
-				// client is still connected — the failed Encode wrote
-				// nothing — so report the failure in-band as the trailer.
-				s.failed.Add(1)
-				wmu.Lock()
-				_ = enc.Encode(streamError{Error: err.Error()})
-				flush()
-				wmu.Unlock()
-				return
-			}
-			// Client went away; rows.Close (deferred) stops the scan.
-			s.cancelled.Add(1)
-			return
-		}
-	}
-	wmu.Lock()
-	defer wmu.Unlock()
-	if err := rows.Err(); err != nil {
-		// Headers are gone; report the failure in-band as the trailer.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.cancelled.Add(1)
-		} else {
-			s.failed.Add(1)
-		}
-		_ = enc.Encode(streamError{Error: err.Error()})
-		flush()
-		return
-	}
-	st := rows.Stats()
-	_ = enc.Encode(map[string]queryStatsJSON{"stats": {
-		WallMicros: st.Wall.Microseconds(),
-		Work:       st.Work,
-		Plan:       st.Plan,
-	}})
-	flush()
-}
-
-// encodeRow converts one typed row to JSON-friendly scalars.
-func encodeRow(row []storage.Value) []any {
-	out := make([]any, len(row))
-	for j, v := range row {
-		switch v.Typ {
-		case schema.Int64:
-			out[j] = v.I
-		case schema.Float64:
-			out[j] = v.F
-		default:
-			out[j] = v.S
-		}
-	}
-	return out
-}
-
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.readQueryRequest(w, r)
-	if !ok {
-		return
-	}
-	tenant, ok := s.resolveTenant(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.queryContext(r, req, tenant)
-	defer cancel()
-	p, err := s.db.ExplainContext(ctx, req.Query)
-	if err != nil {
-		writeError(w, errStatus(err), "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"plan": p})
-}
+func (c cursor) Stats() any { return statsJSON(c.Rows.Stats()) }
 
 // signatureJSON renders a raw file's signature.
 type signatureJSON struct {
@@ -1021,7 +385,7 @@ func (s *Server) followedSet() map[string]bool {
 	return set
 }
 
-func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
+func (s *Server) tables(context.Context) (any, error) {
 	followed := s.followedSet()
 	infos := []tableInfoJSON{}
 	for _, name := range s.db.Tables() {
@@ -1031,7 +395,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		}
 		infos = append(infos, info)
 	}
-	writeJSON(w, http.StatusOK, map[string][]tableInfoJSON{"tables": infos})
+	return map[string][]tableInfoJSON{"tables": infos}, nil
 }
 
 // tableSpecJSON is the PUT /v1/tables/{name} request body.
@@ -1049,19 +413,17 @@ type tableSpecJSON struct {
 func (s *Server) handleTableAttach(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var spec tableSpecJSON
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.DecodeBody(w, r, &spec) {
 		return
 	}
 	if spec.Path == "" {
-		writeError(w, http.StatusBadRequest, "missing path")
+		httpapi.WriteError(w, http.StatusBadRequest, "missing path")
 		return
 	}
 	var delim byte
 	if spec.Delimiter != "" {
 		if len(spec.Delimiter) != 1 {
-			writeError(w, http.StatusBadRequest, "delimiter must be a single character, got %q", spec.Delimiter)
+			httpapi.WriteError(w, http.StatusBadRequest, "delimiter must be a single character, got %q", spec.Delimiter)
 			return
 		}
 		delim = spec.Delimiter[0]
@@ -1073,43 +435,43 @@ func (s *Server) handleTableAttach(w http.ResponseWriter, r *http.Request) {
 		Follow:    spec.Follow,
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpapi.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	info, err := s.tableInfo(name, s.followedSet())
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		httpapi.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	httpapi.WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleTableDetach(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.db.Detach(name); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		httpapi.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"detached": name})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"detached": name})
 }
 
 func (s *Server) handleTableRefresh(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if _, err := s.db.Schema(name); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		httpapi.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	res, err := s.db.Refresh(name)
 	if err != nil {
 		s.refreshErrors.Add(1)
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		httpapi.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.refreshes.Add(1)
 	if res.Grown {
 		s.grown.Add(1)
 	}
-	writeJSON(w, http.StatusOK, res)
+	httpapi.WriteJSON(w, http.StatusOK, res)
 }
 
 // schemaJSON renders a detected schema.
@@ -1124,16 +486,10 @@ type schemaColJSON struct {
 	Type string `json:"type"`
 }
 
-func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("table")
-	if name == "" {
-		writeError(w, http.StatusBadRequest, "missing table parameter")
-		return
-	}
+func (s *Server) schema(_ context.Context, name string) (any, error) {
 	sch, err := s.db.Schema(name)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
+		return nil, &httpapi.Error{Status: http.StatusNotFound, Err: err}
 	}
 	out := schemaJSON{
 		Delimiter: string(sch.Delimiter),
@@ -1143,30 +499,49 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	for _, c := range sch.Columns {
 		out.Columns = append(out.Columns, schemaColJSON{Name: c.Name, Type: c.Type.String()})
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var tenants map[string]tenantStatsJSON
-	if len(s.tenants) > 0 {
-		tenants = make(map[string]tenantStatsJSON, len(s.tenants))
-		for name, ts := range s.tenants {
-			tenants[name] = tenantStatsJSON{
-				Weight:   ts.weight,
-				Slots:    cap(ts.sem),
-				InFlight: ts.inFlight.Load(),
-				Served:   ts.served.Load(),
-				Rejected: ts.rejected.Load(),
-			}
-		}
-	}
+// statsResponse is the /v1/stats response body.
+type statsResponse struct {
+	UptimeSeconds float64                        `json:"uptime_seconds"`
+	Policy        string                         `json:"policy"`
+	MemBytes      int64                          `json:"mem_bytes"`
+	Memory        nodb.MemStats                  `json:"memory"`
+	ResultCache   nodb.ResultCacheStats          `json:"result_cache"`
+	Snapshot      nodb.SnapStats                 `json:"snapshot"`
+	Work          metrics.Snapshot               `json:"work"`
+	Server        serverStatsJSON                `json:"server"`
+	Tenants       map[string]httpapi.TenantStats `json:"tenants,omitempty"`
+	// Ingest is the per-table append-ingestion accounting (rows/bytes
+	// folded in by incremental tail extensions); Followed lists the
+	// tables the follow loop polls.
+	Ingest   map[string]nodb.IngestStats `json:"ingest,omitempty"`
+	Followed []string                    `json:"followed,omitempty"`
+}
+
+// serverStatsJSON is the front door's admission accounting plus the
+// node's background-loop counters.
+type serverStatsJSON struct {
+	httpapi.AdmissionStats
+	SnapshotSaves  int64 `json:"snapshot_saves"`
+	SnapshotErrors int64 `json:"snapshot_errors"`
+	Refreshes      int64 `json:"refreshes"`
+	RefreshErrors  int64 `json:"refresh_errors"`
+	Grown          int64 `json:"grown"`
+	// RefreshBackoff lists followed tables whose refreshes keep failing:
+	// table → consecutive failures (absent when everything is healthy).
+	RefreshBackoff map[string]int `json:"refresh_backoff,omitempty"`
+}
+
+func (s *Server) stats(adm httpapi.Admission) any {
 	ingest := map[string]nodb.IngestStats{}
 	for _, name := range s.db.Tables() {
 		if st, err := s.db.TableStats(name); err == nil {
 			ingest[name] = st.Ingest
 		}
 	}
-	writeJSON(w, http.StatusOK, statsResponse{
+	return statsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Policy:        s.db.Policy().String(),
 		MemBytes:      s.db.MemSize(),
@@ -1174,66 +549,58 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ResultCache:   s.db.ResultCacheStats(),
 		Snapshot:      s.db.SnapStats(),
 		Work:          s.db.Work(),
-		Tenants:       tenants,
+		Tenants:       adm.Tenants,
 		Ingest:        ingest,
 		Followed:      s.db.Followed(),
 		Server: serverStatsJSON{
-			InFlight:       s.inFlight.Load(),
-			MaxInFlight:    cap(s.sem),
-			Served:         s.served.Load(),
-			Rejected:       s.rejected.Load(),
-			Cancelled:      s.cancelled.Load(),
-			Failed:         s.failed.Load(),
+			AdmissionStats: adm.Server,
 			SnapshotSaves:  s.snapSaves.Load(),
 			SnapshotErrors: s.snapErrors.Load(),
 			Refreshes:      s.refreshes.Load(),
 			RefreshErrors:  s.refreshErrors.Load(),
 			Grown:          s.grown.Load(),
-			Panics:         s.panics.Load(),
 			RefreshBackoff: s.followBackoffs(),
 		},
-	})
+	}
 }
 
-// handleHealthz is the liveness probe. It answers 200 as long as the
-// process serves requests; when the snapshot tier has degraded to
-// memory-only after an out-of-space write, the body says so — the node
-// still serves correct results, it just cannot persist adaptive state.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// health is the liveness body. The node serves as long as the process
+// is up; when the snapshot tier has degraded to memory-only after an
+// out-of-space write, the body says so — the node still serves correct
+// results, it just cannot persist adaptive state.
+func (s *Server) health() any {
 	if s.db.SnapStats().Degraded {
-		writeJSON(w, http.StatusOK, map[string]string{
+		return map[string]string{
 			"status": "degraded",
 			"reason": "snapshot tier disk full; running memory-only",
-		})
-		return
+		}
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	return map[string]string{"status": "ok"}
 }
 
 // MarkReady declares the server ready to serve queries: every configured
-// table is linked. Distinct from liveness — /healthz answers ok from the
-// moment the process is up, /readyz only after MarkReady.
+// table is attached. Distinct from liveness — /healthz answers ok from
+// the moment the process is up, /readyz only after MarkReady.
 func (s *Server) MarkReady() { s.ready.Store(true) }
 
-// handleReadyz is the readiness probe coordinators use for shard
-// admission: 503 while starting (tables still linking), 200 with the
-// linked table set once MarkReady has been called.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// readiness is the probe coordinators use for shard admission: 503 while
+// starting (tables still attaching), 200 with the attached table set
+// once MarkReady has been called.
+func (s *Server) readiness(context.Context) (int, any) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "starting"})
-		return
+		return http.StatusServiceUnavailable, map[string]string{"status": "starting"}
 	}
 	tables := s.db.Tables()
 	if tables == nil {
 		tables = []string{}
 	}
-	writeJSON(w, http.StatusOK, struct {
+	return http.StatusOK, struct {
 		Status string   `json:"status"`
 		Tables []string `json:"tables"`
-	}{Status: "ok", Tables: tables})
+	}{Status: "ok", Tables: tables}
 }
 
-// handleClusterSynopsis exports every linked table's scan synopsis (the
+// handleClusterSynopsis exports every attached table's scan synopsis (the
 // per-portion zone maps), schema, and raw-file signature, for
 // coordinator-side shard pruning. Tables whose synopsis is incomplete
 // export with no portions — a coordinator can then bind names but not
@@ -1251,14 +618,5 @@ func (s *Server) handleClusterSynopsis(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Tables[name] = cluster.EncodeTableSynopsis(exp, sch)
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// encodeRows converts typed values to JSON-friendly scalars.
-func encodeRows(rows [][]storage.Value) [][]any {
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		out[i] = encodeRow(row)
-	}
-	return out
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }

@@ -16,6 +16,7 @@ import (
 
 	"nodb"
 	"nodb/internal/csvgen"
+	"nodb/internal/qos"
 )
 
 const testRows = 4000
@@ -31,7 +32,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2, SplitDir: filepath.Join(dir, "splits")})
 	t.Cleanup(func() { db.Close() })
-	if err := db.Link("events", path); err != nil {
+	if err := db.Attach("events", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	cfg.DB = db
@@ -41,10 +42,25 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// queryResponse is a node's /v1/query body.
+type queryResponse struct {
+	Columns []string       `json:"columns"`
+	Rows    [][]any        `json:"rows"`
+	Stats   queryStatsJSON `json:"stats"`
+}
+
+// errorEnvelope is every non-200 body.
+type errorEnvelope struct {
+	Error struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	} `json:"error"`
+}
+
 func postQuery(t *testing.T, url, query string) (*http.Response, queryResponse) {
 	t.Helper()
-	body, _ := json.Marshal(queryRequest{Query: query})
-	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(map[string]string{"query": query})
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +98,7 @@ func TestServerQueryEndpoint(t *testing.T) {
 	}
 
 	// GET form.
-	resp2, err := http.Get(ts.URL + "/query?q=" + "select+count(*)+from+events")
+	resp2, err := http.Get(ts.URL + "/v1/query?q=" + "select+count(*)+from+events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +112,7 @@ func TestServerMetadataEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	var tables map[string][]tableInfoJSON
-	getJSON(t, ts.URL+"/tables", &tables)
+	getJSON(t, ts.URL+"/v1/tables", &tables)
 	if len(tables["tables"]) != 1 || tables["tables"][0].Name != "events" {
 		t.Fatalf("tables = %v", tables)
 	}
@@ -105,7 +121,7 @@ func TestServerMetadataEndpoints(t *testing.T) {
 	}
 
 	var sch schemaJSON
-	getJSON(t, ts.URL+"/schema?table=events", &sch)
+	getJSON(t, ts.URL+"/v1/schema?table=events", &sch)
 	if len(sch.Columns) != 4 {
 		t.Fatalf("schema columns = %v", sch.Columns)
 	}
@@ -114,13 +130,13 @@ func TestServerMetadataEndpoints(t *testing.T) {
 	}
 
 	var expl map[string]string
-	getJSON(t, ts.URL+"/explain?q=select+sum(a1)+from+events", &expl)
+	getJSON(t, ts.URL+"/v1/explain?q=select+sum(a1)+from+events", &expl)
 	if expl["plan"] == "" {
 		t.Fatal("empty plan")
 	}
 
 	var stats statsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Server.MaxInFlight != 64 {
 		t.Fatalf("max_in_flight = %d, want default 64", stats.Server.MaxInFlight)
 	}
@@ -162,19 +178,19 @@ func TestServerBadRequests(t *testing.T) {
 		want int
 	}{
 		{"missing query", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte(`{}`)))
+			return http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{}`)))
 		}, http.StatusBadRequest},
 		{"bad json", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte(`{`)))
+			return http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{`)))
 		}, http.StatusBadRequest},
 		{"bad sql", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte(`{"query":"select from nothing"}`)))
+			return http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{"query":"select from nothing"}`)))
 		}, http.StatusBadRequest},
 		{"unknown table schema", func() (*http.Response, error) {
-			return http.Get(ts.URL + "/schema?table=nope")
+			return http.Get(ts.URL + "/v1/schema?table=nope")
 		}, http.StatusNotFound},
 		{"bad method", func() (*http.Response, error) {
-			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/query", nil)
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/query", nil)
 			return http.DefaultClient.Do(req)
 		}, http.StatusMethodNotAllowed},
 	}
@@ -197,11 +213,11 @@ func TestServerBadRequests(t *testing.T) {
 // not a generic 400.
 func TestServerBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
-	body, _ := json.Marshal(queryRequest{Query: "select count(*) from events where a1 > 0 and a1 < 99999999"})
+	body, _ := json.Marshal(map[string]string{"query": "select count(*) from events where a1 > 0 and a1 < 99999999"})
 	if len(body) <= 64 {
 		t.Fatalf("test body only %d bytes", len(body))
 	}
-	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +233,7 @@ func TestServerBodyTooLarge(t *testing.T) {
 func TestServerAdmissionControl(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInFlight: 1})
 
-	s.sem <- struct{}{} // occupy the single slot
+	release, _ := s.Admit(httptest.NewRecorder(), qos.DefaultTenant) // occupy the single slot
 	resp, _ := postQuery(t, ts.URL, "select count(*) from events")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
@@ -225,13 +241,13 @@ func TestServerAdmissionControl(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 missing Retry-After header")
 	}
-	<-s.sem // release
+	release()
 
 	resp2, _ := postQuery(t, ts.URL, "select count(*) from events")
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("status after release = %d, want 200", resp2.StatusCode)
 	}
-	if got := s.rejected.Load(); got != 1 {
+	if got := s.Admission().Server.Rejected; got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
 	}
 }
@@ -244,7 +260,7 @@ func TestServerTimeout(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
 	}
-	if got := s.cancelled.Load(); got != 1 {
+	if got := s.Admission().Server.Cancelled; got != 1 {
 		t.Fatalf("cancelled counter = %d, want 1", got)
 	}
 }
@@ -289,7 +305,7 @@ func TestServerConcurrentClients(t *testing.T) {
 						return
 					}
 				case 2:
-					resp, err := http.Get(ts.URL + "/stats")
+					resp, err := http.Get(ts.URL + "/v1/stats")
 					if err != nil || resp.StatusCode != http.StatusOK {
 						errs <- fmt.Errorf("client %d: stats failed: %v", cl, err)
 						return
@@ -297,7 +313,7 @@ func TestServerConcurrentClients(t *testing.T) {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
 				case 3:
-					resp, err := http.Get(ts.URL + "/tables")
+					resp, err := http.Get(ts.URL + "/v1/tables")
 					if err != nil || resp.StatusCode != http.StatusOK {
 						errs <- fmt.Errorf("client %d: tables failed: %v", cl, err)
 						return
@@ -313,10 +329,10 @@ func TestServerConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := s.inFlight.Load(); got != 0 {
+	if got := s.Admission().Server.InFlight; got != 0 {
 		t.Fatalf("in-flight gauge = %d after drain, want 0", got)
 	}
-	if s.served.Load() == 0 {
+	if s.Admission().Server.Served == 0 {
 		t.Fatal("served counter never advanced")
 	}
 }
@@ -324,8 +340,8 @@ func TestServerConcurrentClients(t *testing.T) {
 // postQueryE is postQuery without the testing.T, for use inside client
 // goroutines (t.Fatal must not be called off the test goroutine).
 func postQueryE(url, query string) (*http.Response, queryResponse) {
-	body, _ := json.Marshal(queryRequest{Query: query})
-	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(map[string]string{"query": query})
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, queryResponse{}
 	}
@@ -346,8 +362,8 @@ func postQueryE(url, query string) (*http.Response, queryResponse) {
 func TestServerQueryStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	body, _ := json.Marshal(queryRequest{Query: "select a1 from events where a1 < 10 order by a1"})
-	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(map[string]string{"query": "select a1 from events where a1 < 10 order by a1"})
+	resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,8 +436,8 @@ func TestServerQueryStream(t *testing.T) {
 // response before anything streams.
 func TestServerQueryStreamErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body, _ := json.Marshal(queryRequest{Query: "select bogus from nowhere"})
-	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(map[string]string{"query": "select bogus from nowhere"})
+	resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +460,7 @@ func TestServerQueryStreamDisconnect(t *testing.T) {
 	}
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV1, ChunkSize: 4096})
 	t.Cleanup(func() { db.Close() })
-	if err := db.Link("big", path); err != nil {
+	if err := db.Attach("big", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(Config{DB: db})
@@ -463,8 +479,8 @@ func TestServerQueryStreamDisconnect(t *testing.T) {
 	}
 	base := db.Work().RawBytesRead
 
-	body, _ := json.Marshal(queryRequest{Query: "select a1 from big where a1 >= 0"})
-	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(map[string]string{"query": "select a1 from big where a1 >= 0"})
+	resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +499,7 @@ func TestServerQueryStreamDisconnect(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		read := db.Work().RawBytesRead - base
-		if srv.inFlight.Load() == 0 {
+		if srv.Admission().Server.InFlight == 0 {
 			if read >= st.Size() {
 				t.Fatalf("disconnected stream read %d raw bytes of a %d byte file; want an early stop", read, st.Size())
 			}
@@ -505,7 +521,7 @@ func TestStatsMemoryFields(t *testing.T) {
 		t.Fatalf("query status = %d", resp.StatusCode)
 	}
 	var stats statsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Memory.Used <= 0 {
 		t.Errorf("memory.used = %d, want > 0 after a retained load", stats.Memory.Used)
 	}

@@ -1,118 +1,58 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"nodb/internal/cluster"
 	"nodb/internal/qos"
 )
 
-// TestV1LegacyDifferential pins the satellite contract: every /v1 route
-// serves a byte-identical body to its legacy alias; the alias differs
-// only in its Deprecation headers.
-func TestV1LegacyDifferential(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	fetch := func(method, path, body string) (*http.Response, []byte) {
-		t.Helper()
-		var req *http.Request
-		var err error
-		if method == http.MethodPost {
-			req, err = http.NewRequest(method, ts.URL+path, strings.NewReader(body))
-			req.Header.Set("Content-Type", "application/json")
-		} else {
-			req, err = http.NewRequest(method, ts.URL+path, nil)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, b
+// TestLegacyRoutesRemoved pins the end of the unprefixed aliases: every
+// former legacy path answers 404 on a node and on a coordinator in front
+// of it, while its /v1 successor still serves.
+func TestLegacyRoutesRemoved(t *testing.T) {
+	s, node := newTestServer(t, Config{})
+	s.MarkReady()
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Shards: []string{node.URL}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { coord.Close() })
+	cts := httptest.NewServer(coord)
+	t.Cleanup(cts.Close)
 
-	cases := []struct {
-		method, path, body string
-	}{
-		{http.MethodPost, "/query", `{"query":"select sum(a1), count(*) from events where a1 >= 0"}`},
-		{http.MethodPost, "/query/stream", `{"query":"select a1 from events where a1 < 5"}`},
-		{http.MethodPost, "/explain", `{"query":"select count(*) from events"}`},
-		{http.MethodGet, "/tables", ""},
-		{http.MethodGet, "/schema?table=events", ""},
-		{http.MethodPost, "/query", `{"query":"select broken from"}`}, // error envelope too
-	}
-	for _, tc := range cases {
-		legacyResp, legacy := fetch(tc.method, tc.path, tc.body)
-		v1Resp, v1 := fetch(tc.method, "/v1"+tc.path, tc.body)
-		if legacyResp.StatusCode != v1Resp.StatusCode {
-			t.Errorf("%s %s: status legacy=%d v1=%d", tc.method, tc.path, legacyResp.StatusCode, v1Resp.StatusCode)
-		}
-		// /query responses embed wall-clock stats that differ run to run;
-		// strip the volatile stats object before comparing bytes.
-		lb, vb := stripVolatile(t, legacy), stripVolatile(t, v1)
-		if !bytes.Equal(lb, vb) {
-			t.Errorf("%s %s: body mismatch\nlegacy: %s\nv1:     %s", tc.method, tc.path, lb, vb)
-		}
-		if legacyResp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: legacy alias missing Deprecation header", tc.method, tc.path)
-		}
-		wantLink := fmt.Sprintf("</v1%s>; rel=\"successor-version\"", strings.SplitN(tc.path, "?", 2)[0])
-		if got := legacyResp.Header.Get("Link"); got != wantLink {
-			t.Errorf("%s %s: Link = %q, want %q", tc.method, tc.path, got, wantLink)
-		}
-		if v1Resp.Header.Get("Deprecation") != "" {
-			t.Errorf("%s %s: /v1 route must not be deprecated", tc.method, tc.path)
-		}
-	}
-}
-
-// stripVolatile zeroes per-request timing and live-memory fields inside
-// JSON or NDJSON bodies so byte comparison pins everything else.
-// mem_bytes in /tables entries is live accounting that background cursor
-// teardown can shift between two otherwise-identical requests.
-func stripVolatile(t *testing.T, body []byte) []byte {
-	t.Helper()
-	var out [][]byte
-	for _, line := range bytes.Split(bytes.TrimRight(body, "\n"), []byte("\n")) {
-		var m map[string]json.RawMessage
-		if json.Unmarshal(line, &m) != nil {
-			out = append(out, line)
-			continue
-		}
-		if _, ok := m["stats"]; ok {
-			delete(m, "stats")
-		}
-		if raw, ok := m["tables"]; ok {
-			var infos []map[string]json.RawMessage
-			if json.Unmarshal(raw, &infos) == nil {
-				for _, info := range infos {
-					delete(info, "mem_bytes")
+	legacy := []string{"/query", "/query/stream", "/explain", "/tables", "/schema", "/stats", "/cluster/synopsis"}
+	for _, side := range []struct{ name, url string }{{"node", node.URL}, {"coordinator", cts.URL}} {
+		for _, path := range legacy {
+			for _, method := range []string{http.MethodGet, http.MethodPost} {
+				req, _ := http.NewRequest(method, side.url+path, strings.NewReader(`{"query":"select count(*) from events"}`))
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if norm, err := json.Marshal(infos); err == nil {
-					m["tables"] = norm
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNotFound {
+					t.Errorf("%s %s %s: status %d, want 404", side.name, method, path, resp.StatusCode)
 				}
 			}
 		}
-		norm, err := json.Marshal(m)
+		resp, err := http.Get(side.url + "/v1/tables")
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, norm)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s /v1/tables: status %d, want 200", side.name, resp.StatusCode)
+		}
 	}
-	return bytes.Join(out, []byte("\n"))
 }
 
 func TestRequestIDEchoAndGenerate(t *testing.T) {
@@ -229,16 +169,18 @@ func TestTenantAdmissionPartitioned(t *testing.T) {
 	// Under the allow policy the registry adds an implicit default tenant
 	// (weight 1), so weights are alpha:3 beta:1 default:1 over 4 global
 	// slots → alpha 2, beta 1, default 1. Fill beta's single slot by hand.
-	beta := s.tenants["beta"]
-	if beta == nil || cap(beta.sem) != 1 {
+	tenants := s.Admission().Tenants
+	if beta := tenants["beta"]; beta.Slots != 1 {
 		t.Fatalf("beta slots = %v, want 1", beta)
 	}
-	alpha := s.tenants["alpha"]
-	if alpha == nil || cap(alpha.sem) != 2 {
+	if alpha := tenants["alpha"]; alpha.Slots != 2 {
 		t.Fatalf("alpha slots = %v, want 2", alpha)
 	}
-	beta.sem <- struct{}{}
-	defer func() { <-beta.sem }()
+	release, ok := s.Admit(httptest.NewRecorder(), "beta")
+	if !ok {
+		t.Fatal("beta's free slot refused")
+	}
+	defer release()
 
 	do := func(key string) int {
 		t.Helper()
@@ -261,11 +203,12 @@ func TestTenantAdmissionPartitioned(t *testing.T) {
 	if code := do("alpha-key"); code != http.StatusOK {
 		t.Fatalf("alpha while beta saturated = %d, want 200", code)
 	}
-	if beta.rejected.Load() != 1 {
-		t.Fatalf("beta rejected = %d, want 1", beta.rejected.Load())
+	tenants = s.Admission().Tenants
+	if tenants["beta"].Rejected != 1 {
+		t.Fatalf("beta rejected = %d, want 1", tenants["beta"].Rejected)
 	}
-	if alpha.rejected.Load() != 0 {
-		t.Fatalf("alpha rejected = %d, want 0", alpha.rejected.Load())
+	if tenants["alpha"].Rejected != 0 {
+		t.Fatalf("alpha rejected = %d, want 0", tenants["alpha"].Rejected)
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 //	db := nodb.Open(nodb.Options{})
 //	defer db.Close()
-//	if err := db.Link("events", "events.csv"); err != nil { ... }
+//	if err := db.Attach("events", nodb.TableSpec{Path: "events.csv"}); err != nil { ... }
 //	res, err := db.Query("select sum(a1), avg(a2) from events where a1 > 10 and a1 < 1000")
 //
 // There is no load step. The engine brings data in adaptively, driven by
@@ -450,18 +450,6 @@ func (db *DB) Refresh(name string) (RefreshResult, error) { return db.e.Refresh(
 // Followed returns the names of attached tables whose TableSpec set
 // Follow, sorted.
 func (db *DB) Followed() []string { return db.e.Followed() }
-
-// Link registers the flat file at path as a queryable table. The schema
-// (delimiter, header, column names and types) is detected automatically.
-//
-// Deprecated: Link is Attach(name, TableSpec{Path: path}); new code should
-// use Attach, which can also force the format and request tail-following.
-func (db *DB) Link(name, path string) error { return db.e.Link(name, path) }
-
-// Unlink removes a table and drops everything derived from its file.
-//
-// Deprecated: Unlink is the old name of Detach.
-func (db *DB) Unlink(name string) error { return db.e.Unlink(name) }
 
 // Tables returns the linked table names.
 func (db *DB) Tables() []string { return db.e.Tables() }

@@ -79,7 +79,7 @@ func TestVectorVsLegacyPolicies(t *testing.T) {
 			legacyOpts.DisableVectorExec = true
 			legacy := Open(legacyOpts)
 			defer legacy.Close()
-			if err := legacy.Link("t", path); err != nil {
+			if err := legacy.Attach("t", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -93,7 +93,7 @@ func TestVectorVsLegacyPolicies(t *testing.T) {
 					vecOpts.SplitDir = filepath.Join(dir, fmt.Sprintf("sf-vec-%d", batch))
 				}
 				vec := Open(vecOpts)
-				if err := vec.Link("t", path); err != nil {
+				if err := vec.Attach("t", TableSpec{Path: path}); err != nil {
 					t.Fatal(err)
 				}
 				for qi, q := range queries {
@@ -141,10 +141,10 @@ func TestVectorVsLegacyJoins(t *testing.T) {
 			defer legacy.Close()
 			defer vec.Close()
 			for _, db := range []*DB{legacy, vec} {
-				if err := db.Link("l", lp); err != nil {
+				if err := db.Attach("l", TableSpec{Path: lp}); err != nil {
 					t.Fatal(err)
 				}
-				if err := db.Link("r", rp); err != nil {
+				if err := db.Attach("r", TableSpec{Path: rp}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -179,7 +179,7 @@ func TestVectorVsLegacyRandom(t *testing.T) {
 	defer legacy.Close()
 	defer vec.Close()
 	for _, db := range []*DB{legacy, vec} {
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestVectorCancellation(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			db := Open(Options{Policy: PartialLoadsV1, Workers: 1, DisableVectorExec: disable, BatchSize: 16})
 			defer db.Close()
-			if err := db.Link("t", path); err != nil {
+			if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -260,7 +260,7 @@ func TestVectorLimitStopsScan(t *testing.T) {
 
 	db := Open(Options{Policy: External, Workers: 1, ChunkSize: 64 << 10, BatchSize: 64})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := db.Query("select a1 from t limit 5")
@@ -284,7 +284,7 @@ func TestVectorExplainTree(t *testing.T) {
 
 	db := Open(Options{Policy: ColumnLoads, Workers: 1})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
